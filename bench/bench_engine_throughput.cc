@@ -70,10 +70,12 @@
  *     (spmm_csr, spmm_hyb, spmm_bsr) across all three tiers:
  *     tree-walking interpreter, bytecode VM, and the native C tier
  *     (cc-compiled .so, promoted synchronously before measurement).
- *     All three tiers bitwise-checked against each other; the native
- *     tier's compile count / disk hits / total compile ms ride along
- *     in BENCH_JSON as "tiers" for trajectory tracking
- *     (informational — the hard gate stays on [4]).
+ *     The tiers' rounds are interleaved and each req/s figure is
+ *     1000 / median round ms. All three tiers bitwise-checked
+ *     against each other; the native tier's compile count / disk
+ *     hits / total compile ms ride along in BENCH_JSON as "tiers";
+ *     CI gates the native/bytecode ratio on spmm_csr and spmm_hyb
+ *     (check_perf_gate.py's third threshold).
  *
  * FAST=1 shrinks the graph for smoke runs. BENCH_JSON=<path> writes
  * the backend-comparison numbers as JSON for the CI perf gate and
@@ -83,6 +85,7 @@
  * self-time summary on stdout.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -700,10 +703,18 @@ main()
     // ------------------------------------------------------------------
     // 11. Tiered execution: interpreter vs bytecode vs native, warm
     // ------------------------------------------------------------------
+    // CI gates the native/bytecode ratio, and a shared host's speed
+    // can drift by tens of percent within seconds: the tiers' rounds
+    // are interleaved (one dispatch per tier in turn) and each tier's
+    // req/s comes from its median round, so a drift phase hits every
+    // tier alike and one scheduler hiccup does not move the figure.
     int tier_rounds = benchutil::fastMode() ? 3 : 5;
-    std::printf("\n[11] warm dispatch by execution tier (%d rounds "
-                "per op family; native promotes synchronously)\n",
-                tier_rounds);
+    int compiled_rounds = benchutil::fastMode() ? 30 : 10;
+    std::printf("\n[11] warm dispatch by execution tier (%d interpreter "
+                "/ %d bytecode and native rounds per op family, "
+                "interleaved, median round; native promotes "
+                "synchronously)\n",
+                tier_rounds, compiled_rounds);
     struct TierFamily
     {
         const char *op;
@@ -723,48 +734,56 @@ main()
          [&](engine::Engine &e, NDArray *out) {
              e.spmmBsr(lat_bsr, feat, &lat_bsr_b, out);
          }}};
-    const char *tier_names[3] = {"interpreter", "bytecode", "native"};
     const runtime::Backend tier_backends[3] = {
         runtime::Backend::kInterpreter, runtime::Backend::kBytecode,
         runtime::Backend::kNative};
-    double tier_rps[3][3] = {};
-    std::vector<NDArray> tier_out[3];
-    uint64_t native_compiles = 0;
-    uint64_t native_disk_hits = 0;
-    uint64_t native_fallbacks = 0;
-    double native_compile_ms = 0.0;
+    std::vector<std::unique_ptr<engine::Engine>> tier_engs;
     for (int t = 0; t < 3; ++t) {
         engine::EngineOptions options;
         options.backend = tier_backends[t];
         // Promote inside the priming dispatch, so the measured warm
         // rounds run the dlopen'd kernels from round one.
         options.nativePromoteAfter = 0;
-        engine::Engine tier_eng(options);
-        tier_out[t].reserve(3);
-        for (int f = 0; f < 3; ++f) {
+        tier_engs.push_back(std::make_unique<engine::Engine>(options));
+    }
+    double tier_rps[3][3] = {};
+    std::vector<NDArray> tier_out[3];
+    for (int f = 0; f < 3; ++f) {
+        std::vector<double> round_ms[3];
+        for (int t = 0; t < 3; ++t) {
             tier_out[t].emplace_back(
                 std::vector<int64_t>{tier_families[f].outNumel},
                 ir::DataType::float32());
-            NDArray *out = &tier_out[t].back();
-            tier_families[f].dispatch(tier_eng, out);  // prime
-            double ms = benchutil::timedRoundsMs(
-                tier_rounds,
-                [&] { tier_families[f].dispatch(tier_eng, out); });
-            tier_rps[t][f] = ms > 0.0 ? 1000.0 / ms : 0.0;
+            tier_families[f].dispatch(*tier_engs[t],
+                                      &tier_out[t].back());  // prime
         }
-        if (tier_backends[t] == runtime::Backend::kNative) {
-            engine::NativeStats nstats = tier_eng.nativeStats();
-            native_compiles = nstats.compiles;
-            native_disk_hits = nstats.diskHits;
-            native_fallbacks = nstats.fallbacks;
-            observe::MetricsSnapshot nsnap =
-                tier_eng.metricsSnapshot();
-            auto hist = nsnap.histograms.find("native.compile_ms");
-            if (hist != nsnap.histograms.end()) {
-                native_compile_ms = hist->second.sumMs;
+        for (int r = 0; r < compiled_rounds; ++r) {
+            for (int t = (r < tier_rounds ? 0 : 1); t < 3; ++t) {
+                round_ms[t].push_back(benchutil::timedRoundsMs(1, [&] {
+                    tier_families[f].dispatch(*tier_engs[t],
+                                              &tier_out[t].back());
+                }));
             }
         }
+        for (int t = 0; t < 3; ++t) {
+            std::vector<double> &ms = round_ms[t];
+            std::nth_element(ms.begin(), ms.begin() + ms.size() / 2,
+                             ms.end());
+            double median = ms[ms.size() / 2];
+            tier_rps[t][f] = median > 0.0 ? 1000.0 / median : 0.0;
+        }
     }
+    engine::NativeStats nstats = tier_engs[2]->nativeStats();
+    uint64_t native_compiles = nstats.compiles;
+    uint64_t native_disk_hits = nstats.diskHits;
+    uint64_t native_fallbacks = nstats.fallbacks;
+    double native_compile_ms = 0.0;
+    observe::MetricsSnapshot nsnap = tier_engs[2]->metricsSnapshot();
+    auto hist = nsnap.histograms.find("native.compile_ms");
+    if (hist != nsnap.histograms.end()) {
+        native_compile_ms = hist->second.sumMs;
+    }
+    tier_engs.clear();
     bool tier_equal = true;
     for (int f = 0; f < 3; ++f) {
         bool equal = bitwiseEqual(tier_out[0][f], tier_out[1][f]) &&

@@ -2,25 +2,32 @@
 """CI perf gate over bench_engine_throughput's JSON output.
 
 Usage: check_perf_gate.py <bench.json> <min_backend_speedup>
+                          <min_native_speedup>
 
 Fails (exit 1) when the bytecode backend's warm-dispatch speedup over
-the interpreter falls below the threshold, or when the two backends
-stopped producing bitwise-identical outputs. Malformed input — an
-unreadable or syntactically invalid JSON file, missing fields, or
-nonsense measurements (non-positive timings) — exits 2 with a
-diagnostic, so CI can tell "the gate tripped" (1) from "the gate
-never ran" (2). The JSON itself is uploaded as a workflow artifact so
-the speedup trajectory (and the batched-throughput numbers, when
-present) is trackable across commits. The "warm_latency" object
-(experiment [9]) is printed as an informational per-op p50/p95/p99
-trajectory, and the "tiers" object (experiment [11]) as an
-informational interpreter -> bytecode -> native req/s trajectory per
-op family — malformed fields in either exit 2 like any other bad
-input.
+the interpreter falls below <min_backend_speedup>, when the two
+backends stopped producing bitwise-identical outputs, or when the
+native tier's warm req/s over the bytecode tier's ("tiers" object,
+experiment [11]) falls below <min_native_speedup> for spmm_csr or
+spmm_hyb. (A native tier that diverges bitwise already fails the
+bench's own exit status.) Malformed input — an unreadable or
+syntactically invalid JSON file, missing fields (including the
+"tiers" rows the native gate reads), or nonsense measurements
+(non-positive timings) — exits 2 with a diagnostic, so CI can tell
+"the gate tripped" (1) from "the gate never ran" (2). The JSON itself
+is uploaded as a workflow artifact so the speedup trajectory (and the
+batched-throughput numbers, when present) is trackable across
+commits. The "warm_latency" object (experiment [9]) is printed as an
+informational per-op p50/p95/p99 trajectory, and the "tiers" object
+as an interpreter -> bytecode -> native req/s trajectory per op
+family — malformed fields in either exit 2 like any other bad input.
 """
 
 import json
 import sys
+
+# Op families whose native/bytecode warm req/s ratio is gated.
+NATIVE_GATED_OPS = ("spmm_csr", "spmm_hyb")
 
 
 def fail_input(message: str) -> int:
@@ -30,15 +37,16 @@ def fail_input(message: str) -> int:
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
     path = sys.argv[1]
     try:
         threshold = float(sys.argv[2])
+        native_threshold = float(sys.argv[3])
     except ValueError:
         return fail_input(
-            f"threshold {sys.argv[2]!r} is not a number"
+            f"thresholds {sys.argv[2:]!r} must be numbers"
         )
     try:
         with open(path, encoding="utf-8") as fh:
@@ -192,63 +200,74 @@ def main() -> int:
                 "static verification: off for this build "
                 "(0 kernels verified)"
             )
-    # Tiered-execution trajectory (experiment [11], informational —
-    # no hard gate until the three-tier numbers have a trajectory;
-    # the gated speedup stays bytecode-vs-interpreter above). Prints
-    # warm req/s per op family for interpreter -> bytecode -> native,
-    # plus the native tier's one-time compile cost. Malformed fields
-    # are still bad input, not a tripped gate.
-    if "tiers" in data:
-        tiers = data["tiers"]
-        if not isinstance(tiers, dict):
-            return fail_input(f"{path} tiers is not a JSON object")
-        for op in sorted(tiers):
-            row = tiers[op]
-            try:
-                interp_rps = float(row["interpreter_req_per_s"])
-                bytecode_rps = float(row["bytecode_req_per_s"])
-                native_rps = float(row["native_req_per_s"])
-            except (TypeError, KeyError, ValueError) as err:
-                return fail_input(
-                    f"{path} tiers[{op!r}] is malformed: {err}"
-                )
-            if min(interp_rps, bytecode_rps, native_rps) <= 0.0:
-                return fail_input(
-                    f"{path} tiers[{op!r}] holds a non-positive "
-                    f"rate (interpreter {interp_rps}, bytecode "
-                    f"{bytecode_rps}, native {native_rps})"
-                )
-            native_x = (
-                f" ({native_rps / interp_rps:.2f}x interpreter)"
-                if interp_rps > 0
-                else ""
-            )
-            print(
-                f"tiered execution [{op}]: "
-                f"{interp_rps:.1f} req/s interpreter -> "
-                f"{bytecode_rps:.1f} req/s bytecode -> "
-                f"{native_rps:.1f} req/s native{native_x}, "
-                f"bitwise_identical="
-                f"{row.get('bitwise_identical', 'n/a')}"
-            )
-        try:
-            compiles = int(data.get("native_compiles", 0))
-            disk_hits = int(data.get("native_disk_hits", 0))
-            compile_ms = float(data.get("native_compile_ms", 0.0))
-        except (TypeError, ValueError) as err:
-            return fail_input(
-                f"{path} holds a malformed native counter: {err}"
-            )
-        if compiles < 0 or disk_hits < 0 or compile_ms < 0.0:
-            return fail_input(
-                f"{path} holds negative native counters "
-                f"({compiles} compiles, {disk_hits} disk hits, "
-                f"{compile_ms} ms)"
-            )
-        print(
-            f"native tier: {compiles} kernel compile(s) in "
-            f"{compile_ms:.1f} ms, {disk_hits} disk hit(s)"
+    # Tiered execution (experiment [11]): warm req/s per op family for
+    # interpreter -> bytecode -> native, plus the native tier's
+    # one-time compile cost. The native / bytecode ratio of the gated
+    # families is checked below. Malformed fields are still bad input,
+    # not a tripped gate.
+    tiers = data.get("tiers")
+    if not isinstance(tiers, dict):
+        return fail_input(f"{path} has no tiers object")
+    missing = [op for op in NATIVE_GATED_OPS if op not in tiers]
+    if missing:
+        return fail_input(
+            f"{path} has no tiers row for {', '.join(missing)} "
+            f"(the native gate needs them)"
         )
+    native_failures = []
+    for op in sorted(tiers):
+        row = tiers[op]
+        try:
+            interp_rps = float(row["interpreter_req_per_s"])
+            bytecode_rps = float(row["bytecode_req_per_s"])
+            native_rps = float(row["native_req_per_s"])
+        except (TypeError, KeyError, ValueError) as err:
+            return fail_input(
+                f"{path} tiers[{op!r}] is malformed: {err}"
+            )
+        if min(interp_rps, bytecode_rps, native_rps) <= 0.0:
+            return fail_input(
+                f"{path} tiers[{op!r}] holds a non-positive "
+                f"rate (interpreter {interp_rps}, bytecode "
+                f"{bytecode_rps}, native {native_rps})"
+            )
+        native_x = (
+            f" ({native_rps / interp_rps:.2f}x interpreter)"
+            if interp_rps > 0
+            else ""
+        )
+        native_ratio = native_rps / bytecode_rps
+        print(
+            f"tiered execution [{op}]: "
+            f"{interp_rps:.1f} req/s interpreter -> "
+            f"{bytecode_rps:.1f} req/s bytecode -> "
+            f"{native_rps:.1f} req/s native{native_x}, "
+            f"{native_ratio:.2f}x bytecode, bitwise_identical="
+            f"{row.get('bitwise_identical', 'n/a')}"
+        )
+        if op in NATIVE_GATED_OPS and native_ratio < native_threshold:
+            native_failures.append(
+                f"{op}: native {native_ratio:.2f}x bytecode below "
+                f"the {native_threshold:.1f}x gate"
+            )
+    try:
+        compiles = int(data.get("native_compiles", 0))
+        disk_hits = int(data.get("native_disk_hits", 0))
+        compile_ms = float(data.get("native_compile_ms", 0.0))
+    except (TypeError, ValueError) as err:
+        return fail_input(
+            f"{path} holds a malformed native counter: {err}"
+        )
+    if compiles < 0 or disk_hits < 0 or compile_ms < 0.0:
+        return fail_input(
+            f"{path} holds negative native counters "
+            f"({compiles} compiles, {disk_hits} disk hits, "
+            f"{compile_ms} ms)"
+        )
+    print(
+        f"native tier: {compiles} kernel compile(s) in "
+        f"{compile_ms:.1f} ms, {disk_hits} disk hit(s)"
+    )
     # Warm-dispatch latency percentiles per op kind (experiment [9],
     # informational — the p50/p99 trajectory is tracked across
     # commits, no gate). Malformed histogram fields are still bad
@@ -299,6 +318,10 @@ def main() -> int:
             f"{threshold:.1f}x gate",
             file=sys.stderr,
         )
+        return 1
+    for failure in native_failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if native_failures:
         return 1
     print("perf gate passed")
     return 0

@@ -32,6 +32,14 @@ namespace native {
  * and meta symbol names). Folded into every artifact's meta string
  * and cache filename, so a persisted .so built against an older ABI
  * can never be loaded by newer host code.
+ *
+ * Emitter changes that keep this layout and the host-side contract do
+ * not bump it. The typed fast path and stack scratch are such a
+ * change: the kernel still reads slots through StSlot, stack scratch
+ * only publishes numel/kind/ebytes/bound and leaves `base` null (the
+ * host's free of scratch bases stays valid). Artifacts from an older
+ * emitter re-key anyway, because the cache filename hashes the
+ * emitted source.
  */
 constexpr int kNativeAbiVersion = 1;
 

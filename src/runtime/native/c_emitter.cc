@@ -1,9 +1,11 @@
 #include "runtime/native/c_emitter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "ir/expr.h"
@@ -24,12 +26,12 @@ namespace {
 
 /**
  * Fixed preamble of every emitted translation unit: the ABI structs
- * (textually identical to abi.h — keep in sync), fault codes, and the
- * runtime helpers that mirror the bytecode VM's slot resolution,
- * typed load/store, binary search, atomic read-modify-write and
- * scratch allocation. Helpers return a fault code (0 = ok) and record
- * (slot, offset) in the context; the host turns codes back into the
- * VM's diagnostics.
+ * (textually identical to abi.h — keep in sync), fault codes, the
+ * typed fast-path access macros, and the slow-path runtime helpers
+ * that mirror the bytecode VM's slot resolution, typed load/store,
+ * binary search and scratch set-up. Helpers return a fault code
+ * (0 = ok) and record (slot, offset) in the context; the host turns
+ * codes back into the VM's diagnostics.
  */
 const char kPreamble[] = R"(#include <math.h>
 #include <stdint.h>
@@ -76,10 +78,24 @@ typedef struct {
 
 #define ST_CALL(e) do { int32_t st_rc_ = (e); if (st_rc_) return st_rc_; } while (0)
 
+/* Typed access to slot k via p<k> and n<k>, hoisted to entry. n<k> is
+ * 0 for an ineligible slot, so the one compare also sends that case,
+ * like an out-of-range offset, to the checked helper. */
+#define ST_LD(k, off, dst, slow) do { if ((uint64_t)(off) < (uint64_t)n##k) { dst = p##k[off]; } else { ST_CALL(slow(ctx, k, off, &dst)); } } while (0)
+#define ST_ST(k, off, val, slow) do { if ((uint64_t)(off) < (uint64_t)n##k) { p##k[off] = val; } else { ST_CALL(slow(ctx, k, off, val)); } } while (0)
+
 static int32_t st_fault(StCtx *ctx, int32_t code, int32_t slot, int64_t offset) {
     ctx->fault_slot = slot;
     ctx->fault_offset = offset;
     return code;
+}
+
+/* numel if the slot is bound, unrebased, of `kind` and aligned; else 0. */
+static int64_t st_fast(const StCtx *ctx, int32_t slot, int32_t kind, uint64_t align) {
+    const StSlot *s = &ctx->slots[slot];
+    int eligible = s->bound && !s->has_view && s->kind == kind &&
+                   (uintptr_t)s->base % align == 0;
+    return eligible ? s->numel : 0;
 }
 
 /* Floor division toward negative infinity; callers guard divisor != 0. */
@@ -188,22 +204,13 @@ static int32_t st_search(StCtx *ctx, int32_t slot, int64_t lo, int64_t hi,
     return ST_OK;
 }
 
-static int32_t st_atomic_i(StCtx *ctx, int32_t slot, int64_t off, int64_t add,
-                           int64_t *out) {
-    int64_t old;
-    ST_CALL(st_ld_i(ctx, slot, off, &old));
-    ST_CALL(st_st_i(ctx, slot, off, old + add));
-    *out = old;
-    return ST_OK;
-}
-
-static int32_t st_atomic_f(StCtx *ctx, int32_t slot, int64_t off, double add,
-                           double *out) {
-    double old;
-    ST_CALL(st_ld_f(ctx, slot, off, &old));
-    ST_CALL(st_st_f(ctx, slot, off, old + add));
-    *out = old;
-    return ST_OK;
+/* Publish a stack scratch slot's metadata for the host's diagnostics. */
+static void st_scratch(StCtx *ctx, int32_t slot, int64_t n, int32_t kind, int32_t ebytes) {
+    StSlot *s = &ctx->slots[slot];
+    s->numel = n;
+    s->kind = kind;
+    s->ebytes = ebytes;
+    s->bound = 1;
 }
 
 /* (Re)allocate a scratch slot, zero-filled (kAlloc semantics). */
@@ -223,6 +230,9 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
 
 )";
 
+/** Largest scratch allocation placed on the kernel's stack. */
+constexpr int64_t kStackScratchBytes = 4096;
+
 /**
  * Stage III -> C translator for one function. Statement-oriented
  * emission: every non-leaf subexpression lands in its own named
@@ -231,6 +241,22 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
  * reorder faults or atomic side effects. Short-circuit And/Or and
  * one-armed Select compile to if/else over temporaries. The typing
  * mirrors the bytecode compiler's isFloatExpr exactly.
+ *
+ * Element accesses take one of two paths, both bounds-checked:
+ *  - fast: a typed pointer p<k> (float/double/int32_t/int64_t) and a
+ *    bound n<k>, hoisted to kernel entry, then one inline unsigned
+ *    compare per access (ST_LD/ST_ST). A parameter slot is eligible
+ *    when it is bound, not rebased through an OffsetView, and its
+ *    runtime kind equals the kind of its first access; the entry
+ *    check folds that flag into the bound (n<k> = eligible ? numel :
+ *    0). A constant-extent scratch allocation of at most
+ *    kStackScratchBytes is a zero-initialised C array declared where
+ *    the Allocate runs, with a literal bound.
+ *  - slow: the st_ld_* / st_st_* helpers (st_resolve translation,
+ *    bounds check, runtime kind switch) for every access that fails
+ *    the compare, for i8/i16/bool storage and for class-mismatched
+ *    accesses, so views, lazy binding and every fault diagnostic
+ *    behave exactly like the VM's.
  */
 class Emitter
 {
@@ -257,6 +283,7 @@ class Emitter
         }
         scalarUsed_.assign(scalars_.size(), false);
         numParamSlots_ = static_cast<int>(slotNames_.size());
+        plans_.assign(slotNames_.size(), SlotPlan());
         blockLoop_ = findBlockIdxLoop(func_->body);
         indent_ = 1;
         if (func_->body != nullptr) {
@@ -281,6 +308,7 @@ class Emitter
             result.scalarNames.push_back(scalars_[i]);
             ++published;
         }
+        decls += fastPathDecls();
 
         std::string meta = "sparsetir-native;abi=" +
                            std::to_string(kNativeAbiVersion) +
@@ -306,6 +334,21 @@ class Emitter
     {
         bool isFloat = false;
         std::string name;
+    };
+
+    /** kUndecided until a parameter slot's first access. */
+    static constexpr int kUndecided = -2;
+    /** Every access to the slot goes through the helpers. */
+    static constexpr int kSlow = -1;
+
+    /** How a slot's accesses are emitted. */
+    struct SlotPlan
+    {
+        /** ElemKind of the typed pointer p<k>, or kUndecided/kSlow. */
+        int kind = kUndecided;
+        /** Stack scratch: p<k> is a C array of `numel` elements. */
+        bool stack = false;
+        int64_t numel = 0;
     };
 
     // -----------------------------------------------------------------
@@ -374,6 +417,168 @@ class Emitter
         ICHECK(it != slotOf_.end())
             << "no storage bound for buffer '" << buffer->name << "'";
         return it->second;
+    }
+
+    // -----------------------------------------------------------------
+    // Element access: typed fast path or checked helper
+    // -----------------------------------------------------------------
+
+    /** C element type of a typed-pointer ElemKind, or nullptr (no
+     *  typed path for i8/i16/bool, kUndecided, kSlow). */
+    static const char *
+    cType(int kind)
+    {
+        static const char *const kTypes[] = {
+            "float", "double", nullptr, nullptr, "int32_t", "int64_t"};
+        return kind >= 0 && kind < 6 ? kTypes[kind] : nullptr;
+    }
+
+    /**
+     * True when an access of class `flt` to `slot` through a buffer
+     * of `dtype` takes the typed path. A parameter slot's first
+     * access fixes its pointer kind; accesses of the other register
+     * class keep the helper, which raises the VM's class fault.
+     */
+    bool
+    fastAccess(int slot, const DataType &dtype, bool flt)
+    {
+        SlotPlan &plan = plans_[static_cast<size_t>(slot)];
+        if (plan.kind == kUndecided) {
+            int kind =
+                static_cast<int>(bytecode::elemKindOfDtype(dtype));
+            plan.kind = cType(kind) != nullptr ? kind : kSlow;
+        }
+        return plan.kind != kSlow &&
+               bytecode::elemKindIsFloat(
+                   static_cast<bytecode::ElemKind>(plan.kind)) == flt;
+    }
+
+    /** Load slot[off] into a fresh int64_t/double temporary. */
+    std::string
+    emitLoad(const Buffer &buffer, const std::string &off, bool flt)
+    {
+        int slot = slotFor(buffer);
+        std::string t = tmp();
+        std::string helper = flt ? "st_ld_f" : "st_ld_i";
+        std::string decl = std::string(flt ? "double " : "int64_t ") +
+                           t + "; ";
+        if (fastAccess(slot, buffer->dtype, flt)) {
+            line(decl + "ST_LD(" + slotTok(slot) + ", " + off + ", " +
+                 t + ", " + helper + ");");
+        } else {
+            line(decl + "ST_CALL(" + helper + "(ctx, " + slotTok(slot) +
+                 ", " + off + ", &" + t + "));");
+        }
+        return t;
+    }
+
+    /** Store `value` (rounded to storage width) to slot[off]. */
+    void
+    emitStore(const Buffer &buffer, const std::string &off,
+              const std::string &value, bool flt)
+    {
+        int slot = slotFor(buffer);
+        std::string helper = flt ? "st_st_f" : "st_st_i";
+        if (fastAccess(slot, buffer->dtype, flt)) {
+            line("ST_ST(" + slotTok(slot) + ", " + off + ", " + value +
+                 ", " + helper + ");");
+        } else {
+            line("ST_CALL(" + helper + "(ctx, " + slotTok(slot) + ", " +
+                 off + ", " + value + "));");
+        }
+    }
+
+    /**
+     * Kernel-entry declarations of every fast-path slot: parameter
+     * pointers with their eligibility-folded bounds, and each stack
+     * scratch slot's bound, published once into the context so a
+     * fault message carries the slot's real numel.
+     */
+    std::string
+    fastPathDecls() const
+    {
+        std::string out;
+        for (size_t i = 0; i < plans_.size(); ++i) {
+            const SlotPlan &plan = plans_[i];
+            const char *ctype = cType(plan.kind);
+            if (ctype == nullptr) {
+                continue;
+            }
+            std::string k = std::to_string(i);
+            std::string kind = std::to_string(plan.kind);
+            if (plan.stack) {
+                out += "    const int64_t n" + k + " = " +
+                       intLiteral(plan.numel) + ";\n";
+                out += "    st_scratch(ctx, " + k + ", n" + k + ", " +
+                       kind + ", sizeof(" + ctype + "));\n";
+                continue;
+            }
+            out += "    " + std::string(ctype) + " *const p" + k +
+                   " = (" + ctype + " *)ctx->slots[" + k + "].base;\n";
+            out += "    const int64_t n" + k + " = st_fast(ctx, " + k +
+                   ", " + kind + ", sizeof(" + ctype + "));\n";
+        }
+        return out;
+    }
+
+    /**
+     * Structural non-negativity of an int expression: literals >= 0,
+     * loop variables with a non-negative lower bound, let variables
+     * bound to such values, and sums, products and floor quotients of
+     * them. Licenses a plain C `/` and `%` for floor division by a
+     * positive literal; anything else answers false.
+     */
+    bool
+    nonNeg(const Expr &e) const
+    {
+        switch (e->kind) {
+          case ExprKind::kIntImm:
+            return static_cast<const IntImmNode *>(e.get())->value >= 0;
+          case ExprKind::kVar:
+            return nonNegVars_.count(
+                       static_cast<const VarNode *>(e.get())) != 0;
+          case ExprKind::kAdd:
+          case ExprKind::kMul:
+          case ExprKind::kFloorDiv:
+          case ExprKind::kFloorMod: {
+            auto op = static_cast<const BinaryNode *>(e.get());
+            if (e->kind == ExprKind::kFloorMod) {
+                // Floor modulus takes the divisor's sign.
+                return positiveLiteral(op->b);
+            }
+            return (e->kind != ExprKind::kFloorDiv ||
+                    positiveLiteral(op->b)) &&
+                   nonNeg(op->a) && nonNeg(op->b);
+          }
+          default:
+            return false;
+        }
+    }
+
+    /** Element count of a literal-shaped buffer, or -1 (capped at
+     *  kStackScratchBytes so the product cannot overflow). */
+    static int64_t
+    constantExtent(const std::vector<Expr> &shape)
+    {
+        int64_t numel = 1;
+        for (const Expr &dim : shape) {
+            if (dim->kind != ExprKind::kIntImm) {
+                return -1;
+            }
+            int64_t extent = static_cast<const IntImmNode *>(dim.get())->value;
+            if (extent < 0 || extent > kStackScratchBytes) {
+                return -1;
+            }
+            numel = std::min(numel * extent, kStackScratchBytes + 1);
+        }
+        return numel;
+    }
+
+    static bool
+    positiveLiteral(const Expr &e)
+    {
+        return e->kind == ExprKind::kIntImm &&
+               static_cast<const IntImmNode *>(e.get())->value > 0;
     }
 
     // -----------------------------------------------------------------
@@ -496,12 +701,7 @@ class Emitter
           case ExprKind::kBufferLoad: {
             auto op = static_cast<const BufferLoadNode *>(e.get());
             std::string off = emitOffset(op->buffer, op->indices);
-            int slot = slotFor(op->buffer);
-            std::string t = tmp();
-            line("int64_t " + t + " = 0;");
-            line("ST_CALL(st_ld_i(ctx, " + slotTok(slot) + ", " + off +
-                 ", &" + t + "));");
-            return t;
+            return emitLoad(op->buffer, off, false);
           }
           case ExprKind::kCall:
             return emitCallI(static_cast<const CallNode *>(e.get()));
@@ -535,9 +735,21 @@ class Emitter
             auto op = static_cast<const BinaryNode *>(e.get());
             std::string a = emitI(op->a);
             std::string b = emitI(op->b);
-            line("if (" + b + " == 0) { return st_fault(ctx, "
-                 "ST_FAULT_DIV0, -1, 0); }");
             std::string t = tmp();
+            bool literal = op->b->kind == ExprKind::kIntImm;
+            if (positiveLiteral(op->b) && nonNeg(op->a)) {
+                // Floor and truncating division agree here.
+                line("int64_t " + t + " = " + a +
+                     (e->kind == ExprKind::kFloorDiv ? " / " : " % ") +
+                     b + ";");
+                return t;
+            }
+            if (!literal ||
+                static_cast<const IntImmNode *>(op->b.get())->value ==
+                    0) {
+                line("if (" + b + " == 0) { return st_fault(ctx, "
+                     "ST_FAULT_DIV0, -1, 0); }");
+            }
             if (e->kind == ExprKind::kFloorDiv) {
                 line("int64_t " + t + " = st_floordiv(" + a + ", " +
                      b + ");");
@@ -580,12 +792,7 @@ class Emitter
           case ExprKind::kBufferLoad: {
             auto op = static_cast<const BufferLoadNode *>(e.get());
             std::string off = emitOffset(op->buffer, op->indices);
-            int slot = slotFor(op->buffer);
-            std::string t = tmp();
-            line("double " + t + " = 0;");
-            line("ST_CALL(st_ld_f(ctx, " + slotTok(slot) + ", " + off +
-                 ", &" + t + "));");
-            return t;
+            return emitLoad(op->buffer, off, true);
           }
           case ExprKind::kCall:
             return emitCallF(static_cast<const CallNode *>(e.get()));
@@ -758,6 +965,12 @@ class Emitter
             ICHECK(op->bufferArg != nullptr);
             ICHECK_EQ(op->args.size(), 3u);
             int slot = slotFor(op->bufferArg);
+            // st_search reads through the slot's base pointer, which a
+            // stack array never publishes.
+            USER_CHECK(!plans_[static_cast<size_t>(slot)].stack)
+                << "binary search over stack scratch '"
+                << op->bufferArg->name
+                << "' not compilable to native code";
             std::string lo = emitI(op->args[0]);
             std::string hi = emitI(op->args[1]);
             std::string val = emitI(op->args[2]);
@@ -779,13 +992,11 @@ class Emitter
           case Builtin::kAtomicAdd: {
             ICHECK(op->bufferArg != nullptr);
             ICHECK_EQ(op->args.size(), 2u);
-            int slot = slotFor(op->bufferArg);
+            // Read-modify-write; the old value is the result.
             std::string off = emitI(op->args[0]);
             std::string v = emitI(op->args[1]);
-            std::string t = tmp();
-            line("int64_t " + t + " = 0;");
-            line("ST_CALL(st_atomic_i(ctx, " + slotTok(slot) + ", " +
-                 off + ", " + v + ", &" + t + "));");
+            std::string t = emitLoad(op->bufferArg, off, false);
+            emitStore(op->bufferArg, off, t + " + " + v, false);
             return t;
           }
           default:
@@ -821,13 +1032,10 @@ class Emitter
           case Builtin::kAtomicAdd: {
             ICHECK(op->bufferArg != nullptr);
             ICHECK_EQ(op->args.size(), 2u);
-            int slot = slotFor(op->bufferArg);
             std::string off = emitI(op->args[0]);
             std::string v = emitF(op->args[1]);
-            std::string t = tmp();
-            line("double " + t + " = 0;");
-            line("ST_CALL(st_atomic_f(ctx, " + slotTok(slot) + ", " +
-                 off + ", " + v + ", &" + t + "));");
+            std::string t = emitLoad(op->bufferArg, off, true);
+            emitStore(op->bufferArg, off, t + " + " + v, true);
             return t;
           }
           default:
@@ -848,21 +1056,13 @@ class Emitter
         switch (s->kind) {
           case StmtKind::kBufferStore: {
             auto op = static_cast<const BufferStoreNode *>(s.get());
-            int slot = slotFor(op->buffer);
             // Value before indices, mirroring the interpreter's
             // evaluation order (observable when the value contains
             // an atomic update the indices then read).
-            if (op->buffer->dtype.isFloat()) {
-                std::string v = emitF(op->value);
-                std::string off = emitOffset(op->buffer, op->indices);
-                line("ST_CALL(st_st_f(ctx, " + slotTok(slot) + ", " +
-                     off + ", " + v + "));");
-            } else {
-                std::string v = emitI(op->value);
-                std::string off = emitOffset(op->buffer, op->indices);
-                line("ST_CALL(st_st_i(ctx, " + slotTok(slot) + ", " +
-                     off + ", " + v + "));");
-            }
+            bool flt = op->buffer->dtype.isFloat();
+            std::string v = flt ? emitF(op->value) : emitI(op->value);
+            std::string off = emitOffset(op->buffer, op->indices);
+            emitStore(op->buffer, off, v, flt);
             break;
           }
           case StmtKind::kSeq: {
@@ -927,27 +1127,46 @@ class Emitter
             line(std::string(flt ? "double " : "int64_t ") + name +
                  " = " + v + ";");
             vars_[op->letVar.get()] = CVar{flt, name};
+            if (!flt && nonNeg(op->value)) {
+                nonNegVars_.insert(op->letVar.get());
+            }
             emitStmt(op->body);
             vars_.erase(op->letVar.get());
+            nonNegVars_.erase(op->letVar.get());
             break;
           }
           case StmtKind::kAllocate: {
             auto op = static_cast<const AllocateNode *>(s.get());
             int slot = static_cast<int>(slotNames_.size());
             slotNames_.push_back(op->buffer->name);
+            plans_.emplace_back();
             bytecode::ElemKind kind =
                 bytecode::elemKindOfDtype(op->buffer->dtype);
-            Expr size = op->buffer->shape.empty()
-                            ? intImm(1)
-                            : op->buffer->shape[0];
-            for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
-                size = mul(size, op->buffer->shape[d]);
+            int64_t bytes = bytecode::elemKindBytes(kind);
+            int64_t numel = constantExtent(op->buffer->shape);
+            const char *ctype = cType(static_cast<int>(kind));
+            if (ctype != nullptr && numel > 0 &&
+                numel <= kStackScratchBytes / bytes) {
+                // Zeroed on every entry, like st_alloc's calloc.
+                SlotPlan &plan = plans_.back();
+                plan.kind = static_cast<int>(kind);
+                plan.stack = true;
+                plan.numel = numel;
+                line(std::string(ctype) + " p" + slotTok(slot) + "[" +
+                     std::to_string(numel) + "] = {0};");
+            } else {
+                Expr size = op->buffer->shape.empty()
+                                ? intImm(1)
+                                : op->buffer->shape[0];
+                for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
+                    size = mul(size, op->buffer->shape[d]);
+                }
+                std::string n = emitI(size);
+                plans_.back().kind = kSlow;
+                    line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " +
+                     n + ", " + std::to_string(static_cast<int>(kind)) +
+                     ", " + std::to_string(bytes) + "));");
             }
-            std::string n = emitI(size);
-            line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " + n +
-                 ", " + std::to_string(static_cast<int>(kind)) + ", " +
-                 std::to_string(bytecode::elemKindBytes(kind)) +
-                 "));");
             slotOf_[op->buffer->data.get()] = slot;
             emitStmt(op->body);
             slotOf_.erase(op->buffer->data.get());
@@ -1005,8 +1224,13 @@ class Emitter
              "; ++" + v + ") {");
         ++indent_;
         vars_[op->loopVar.get()] = CVar{false, v};
+        // The body only runs at v >= min (a window start only raises it).
+        if (nonNeg(op->minValue)) {
+            nonNegVars_.insert(op->loopVar.get());
+        }
         emitStmt(op->body);
         vars_.erase(op->loopVar.get());
+        nonNegVars_.erase(op->loopVar.get());
         --indent_;
         line("}");
     }
@@ -1023,6 +1247,9 @@ class Emitter
     std::vector<bool> scalarUsed_;
     std::unordered_map<const VarNode *, CVar> vars_;
     std::unordered_map<const VarNode *, int> slotOf_;
+    /** Parallel to slotNames_. */
+    std::vector<SlotPlan> plans_;
+    std::unordered_set<const VarNode *> nonNegVars_;
     const ForNode *blockLoop_ = nullptr;
 };
 

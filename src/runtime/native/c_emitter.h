@@ -13,6 +13,14 @@
  * rounding on float stores — so a native kernel's results are bitwise
  * identical to the interpreter and the bytecode VM.
  *
+ * Every element access is bounds-checked. Eligible slots (bound,
+ * unrebased parameters whose runtime kind matches their static
+ * float/double/int32/int64 kind, and constant-extent scratch of at
+ * most 4 KiB, which lives in a zeroed C stack array) are accessed
+ * through typed pointers hoisted to kernel entry with one inline
+ * compare per access; all others go through the checked st_ld_* /
+ * st_st_* helpers, so fault diagnostics match the VM's on both paths.
+ *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
  * extern calls) raise UserError, exactly like bytecode::compile;
  * callers treat that as "stay on the bytecode tier".

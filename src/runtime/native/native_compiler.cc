@@ -324,8 +324,9 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
 
     int32_t rc = kernel.entry(&ctx);
 
-    // Scratch slots are calloc'd inside the kernel; release them on
-    // success and fault paths alike (metadata survives for messages).
+    // Heap scratch slots are calloc'd inside the kernel (stack scratch
+    // leaves base null); release them on success and fault paths
+    // alike (metadata survives for messages).
     for (size_t i = static_cast<size_t>(kernel.numParamSlots);
          i < slots.size(); ++i) {
         std::free(slots[i].base);

@@ -20,6 +20,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,8 @@
 #include "format/hyb.h"
 #include "graph/generator.h"
 #include "ir/stmt.h"
+#include "runtime/bytecode/compiler.h"
+#include "runtime/bytecode/vm.h"
 #include "runtime/interpreter.h"
 #include "runtime/native/c_emitter.h"
 #include "runtime/native/native_compiler.h"
@@ -177,6 +181,78 @@ engineSpmmReference(const Csr &a, int64_t feat,
     return c;
 }
 
+/** The emitted entry function, without the fixed preamble. */
+std::string
+kernelBody(const std::string &source)
+{
+    size_t at = source.find("int32_t sparsetir_kernel_run(StCtx *ctx)");
+    return at == std::string::npos ? std::string() : source.substr(at);
+}
+
+/** Distinct slot numbers of every `<macro>(k, ...)` use in `body`. */
+std::set<std::string>
+macroSlots(const std::string &body, const std::string &macro)
+{
+    std::set<std::string> slots;
+    std::regex use(macro + R"(\((\d+), )");
+    for (std::sregex_iterator it(body.begin(), body.end(), use), end;
+         it != end; ++it) {
+        slots.insert((*it)[1].str());
+    }
+    return slots;
+}
+
+/**
+ * An InternalError's diagnostic without its throw site and failed
+ * condition ("file:line: Internal check failed: (cond) "), which
+ * differ between backends that raise the same diagnostic.
+ */
+std::string
+diagnostic(const std::string &what)
+{
+    size_t cond = what.find("Internal check failed: (");
+    size_t end = cond == std::string::npos ? cond : what.find(") ", cond);
+    return end == std::string::npos ? what : what.substr(end + 2);
+}
+
+/** Runs `fn`, returning the InternalError diagnostic it raised. */
+template <typename Fn>
+std::string
+internalErrorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const InternalError &e) {
+        return diagnostic(e.what());
+    }
+    return "(no InternalError)";
+}
+
+/** f(base, n, out, v): for i in [0, n): out[base+i] += v[i]. */
+ir::PrimFunc
+rebasedAccumulateFunc()
+{
+    auto func = ir::primFunc("rebased");
+    ir::Var base = ir::var("base");
+    ir::Var n = ir::var("n");
+    ir::Var i = ir::var("i");
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(64)},
+                                     ir::DataType::float32());
+    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(64)},
+                                   ir::DataType::float32());
+    func->params = {base, n, out->data, v->data};
+    func->bufferMap.emplace_back(out->data, out);
+    func->bufferMap.emplace_back(v->data, v);
+    ir::Expr idx = ir::add(base, i);
+    func->body = ir::forLoop(
+        i, ir::intImm(0), n,
+        ir::bufferStore(out, {idx},
+                        ir::add(ir::bufferLoad(out, {idx}),
+                                ir::bufferLoad(v, {i}))));
+    func->stage = ir::IrStage::kStage3;
+    return func;
+}
+
 // ---------------------------------------------------------------------
 // Emitter golden-source checks
 // ---------------------------------------------------------------------
@@ -221,12 +297,61 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
                                       family.tag),
                   std::string::npos);
 
-        // Every family writes a float output through the checked
-        // store helper, and every buffer access goes through the
-        // faultable resolve path.
-        EXPECT_NE(emitted.source.find("st_st_f"), std::string::npos);
-        EXPECT_NE(emitted.source.find("st_resolve"),
+        // Access contract. The fast-path macros index the typed
+        // pointer only under the inline bounds check against the
+        // entry-hoisted bound, and hand every other access to the
+        // checked helpers (st_resolve + runtime kind), which raise
+        // the VM's faults.
+        const std::string &src = emitted.source;
+        EXPECT_NE(src.find("if ((uint64_t)(off) < (uint64_t)n##k) { "
+                           "dst = p##k[off]; } else { ST_CALL(slow(ctx, "
+                           "k, off, &dst)); }"),
                   std::string::npos);
+        EXPECT_NE(src.find("if ((uint64_t)(off) < (uint64_t)n##k) { "
+                           "p##k[off] = val; } else { ST_CALL(slow(ctx, "
+                           "k, off, val)); }"),
+                  std::string::npos);
+        for (const char *helper :
+             {"st_ld_i(", "st_ld_f(", "st_st_i(", "st_st_f(",
+              "st_resolve("}) {
+            EXPECT_NE(src.find(std::string("static int32_t ") + helper),
+                      std::string::npos)
+                << helper;
+        }
+
+        const std::string body = kernelBody(src);
+        ASSERT_FALSE(body.empty());
+        // Constant-extent scratch lives on the stack: no allocation
+        // call in any family.
+        EXPECT_EQ(body.find("st_alloc("), std::string::npos);
+        // The typed pointers are only ever indexed inside ST_LD/ST_ST;
+        // the one other `p<k>[` form is a stack scratch declaration.
+        std::regex indexed(R"(\bp\d+\[)");
+        std::regex stack_decl(
+            R"((float|double|int32_t|int64_t) p\d+\[\d+\] = \{0\};)");
+        auto count = [&](const std::regex &re) {
+            return std::distance(
+                std::sregex_iterator(body.begin(), body.end(), re),
+                std::sregex_iterator());
+        };
+        EXPECT_EQ(count(indexed), count(stack_decl));
+        // Every fast-path slot has its bound hoisted to entry; for a
+        // parameter slot it is the eligibility-checked st_fast value.
+        std::set<std::string> slots = macroSlots(body, "ST_LD");
+        std::set<std::string> stored = macroSlots(body, "ST_ST");
+        slots.insert(stored.begin(), stored.end());
+        EXPECT_FALSE(slots.empty());
+        for (const std::string &k : slots) {
+            EXPECT_NE(body.find("const int64_t n" + k + " = "),
+                      std::string::npos)
+                << "slot " << k;
+        }
+        EXPECT_NE(body.find("= st_fast(ctx, "), std::string::npos);
+        // Every family writes a float output; the store's slow path
+        // is the checked float store helper.
+        EXPECT_NE(body.find(", st_st_f);"), std::string::npos);
+        // Constant-divisor guards are folded at emit time.
+        EXPECT_EQ(body.find("ST_FAULT_DIV0"), std::string::npos);
 
         // All six kernels carry a blockIdx.x grid, so the emitted
         // outer loop must honor the kBlockWindow contract.
@@ -263,6 +388,54 @@ TEST(NativeEmitter, RejectsStageOneViaDiagnostic)
         transform::lowerSparseIterations(stage1));
     native::EmitResult emitted = native::emitC(stage3, "accept");
     EXPECT_FALSE(emitted.source.empty());
+}
+
+TEST(NativeEmitter, ConstantDivisorsFoldWithFloorSemantics)
+{
+    CacheDirGuard cache;
+    // out[4i..4i+3] = {i // 4, i % 4, (i - 5) // 4, (i - 5) % 4} for
+    // i in [0, 10): a loop variable is provably non-negative (plain C
+    // division), i - 5 is not (floor division must round toward
+    // negative infinity).
+    auto func = ir::primFunc("divisors");
+    ir::Var i = ir::var("i");
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(40)},
+                                     ir::DataType::int32());
+    func->params = {out->data};
+    func->bufferMap.emplace_back(out->data, out);
+    ir::Expr four = ir::intImm(4);
+    ir::Expr shifted = ir::sub(i, ir::intImm(5));
+    std::vector<ir::Expr> values = {
+        ir::floorDiv(i, four), ir::floorMod(i, four),
+        ir::floorDiv(shifted, four), ir::floorMod(shifted, four)};
+    std::vector<ir::Stmt> stores;
+    for (size_t k = 0; k < values.size(); ++k) {
+        ir::Expr at = ir::add(ir::mul(i, four),
+                              ir::intImm(static_cast<int64_t>(k)));
+        stores.push_back(ir::bufferStore(out, {at}, values[k]));
+    }
+    func->body = ir::forLoop(i, ir::intImm(0), ir::intImm(10),
+                             ir::seq(stores));
+    func->stage = ir::IrStage::kStage3;
+
+    std::string body = kernelBody(native::emitC(func, "divisors").source);
+    EXPECT_EQ(body.find("ST_FAULT_DIV0"), std::string::npos) << body;
+    EXPECT_NE(body.find(" / INT64_C(4);"), std::string::npos) << body;
+    EXPECT_NE(body.find(" % INT64_C(4);"), std::string::npos) << body;
+    EXPECT_NE(body.find("st_floordiv("), std::string::npos) << body;
+
+    NDArray interp({40}, ir::DataType::int32());
+    NDArray out_native({40}, ir::DataType::int32());
+    Bindings bindings;
+    bindings.arrays = {{"out_data", &interp}};
+    runtime::runInterpreted(func, bindings);
+    bindings.arrays["out_data"] = &out_native;
+    native::execute(*native::compileNative(func, "divisors"), bindings,
+                    runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(interp, out_native));
+    // i = 0: (0 - 5) // 4 == -2 and (0 - 5) % 4 == 3.
+    EXPECT_EQ(out_native.intAt(2), -2);
+    EXPECT_EQ(out_native.intAt(3), 3);
 }
 
 // ---------------------------------------------------------------------
@@ -339,27 +512,10 @@ TEST(NativeKernel, BlockWindowsComposeToFullRun)
 TEST(NativeKernel, OffsetViewRebasedRunMatchesInterpreterBitwise)
 {
     CacheDirGuard cache;
-    // f(base, n, out, v): for i in [0, n): out[base+i] += v[i],
-    // against a PACKED `out` (window [4,8) u [12,14)) — the grid-chunk
-    // privatization contract the engine's fused dispatch relies on.
-    auto func = ir::primFunc("rebased");
-    ir::Var base = ir::var("base");
-    ir::Var n = ir::var("n");
-    ir::Var i = ir::var("i");
-    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(64)},
-                                     ir::DataType::float32());
-    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(64)},
-                                   ir::DataType::float32());
-    func->params = {base, n, out->data, v->data};
-    func->bufferMap.emplace_back(out->data, out);
-    func->bufferMap.emplace_back(v->data, v);
-    ir::Expr idx = ir::add(base, i);
-    func->body = ir::forLoop(
-        i, ir::intImm(0), n,
-        ir::bufferStore(out, {idx},
-                        ir::add(ir::bufferLoad(out, {idx}),
-                                ir::bufferLoad(v, {i}))));
-    func->stage = ir::IrStage::kStage3;
+    // Accumulate against a PACKED `out` (window [4,8) u [12,14)) —
+    // the grid-chunk privatization contract the engine's fused
+    // dispatch relies on.
+    ir::PrimFunc func = rebasedAccumulateFunc();
     auto kernel = native::compileNative(func, "rebased");
     ASSERT_NE(kernel, nullptr);
 
@@ -402,6 +558,166 @@ TEST(NativeKernel, OffsetViewRebasedRunMatchesInterpreterBitwise)
     native::execute(*kernel, bindings, runtime::RunOptions());
     EXPECT_EQ(full.floatAt(4), 1.0);
     EXPECT_EQ(full.floatAt(7), 4.0);
+}
+
+// ---------------------------------------------------------------------
+// Fault parity: fast and slow access paths against the VM
+// ---------------------------------------------------------------------
+
+TEST(NativeFaultParity, OffsetViewSlowPathMatchesVmBitwise)
+{
+    CacheDirGuard cache;
+    // A rebased slot is never fast-path eligible: every access to it
+    // takes st_resolve's span translation, beside fast-path slots.
+    ir::PrimFunc func = rebasedAccumulateFunc();
+    auto kernel = native::compileNative(func, "parity-view");
+    auto program = runtime::bytecode::compile(func);
+    auto view = runtime::OffsetView::fromSpans({{4, 8}, {12, 14}});
+    runtime::RunOptions options;
+    options.offsetViews.push_back(
+        runtime::BufferView{"out_data", &view});
+    NDArray vals = NDArray::fromFloat({1.5f, -2.25f, 3.0f, 0.1f});
+    NDArray out_vm = NDArray::fromFloat({10, 20, 30, 40, 50, 60});
+    NDArray out_native = NDArray::fromFloat({10, 20, 30, 40, 50, 60});
+    Bindings bindings;
+    bindings.arrays = {{"v_data", &vals}};
+    for (auto [base, n] : {std::pair<int64_t, int64_t>{4, 4}, {12, 2}}) {
+        bindings.scalars = {{"base", base}, {"n", n}};
+        bindings.arrays["out_data"] = &out_vm;
+        runtime::bytecode::execute(*program, bindings, options);
+        bindings.arrays["out_data"] = &out_native;
+        native::execute(*kernel, bindings, options);
+    }
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+
+    // The window fault is the VM's, word for word.
+    bindings.scalars = {{"base", 8}, {"n", 4}};
+    std::string vm_error = internalErrorOf([&] {
+        bindings.arrays["out_data"] = &out_vm;
+        runtime::bytecode::execute(*program, bindings, options);
+    });
+    std::string native_error = internalErrorOf([&] {
+        bindings.arrays["out_data"] = &out_native;
+        native::execute(*kernel, bindings, options);
+    });
+    EXPECT_NE(vm_error.find("outside its rebased window"),
+              std::string::npos)
+        << vm_error;
+    EXPECT_EQ(native_error, vm_error);
+
+    // A whole SpMM with only its output rebased (one span over the
+    // full array): slow-path stores beside fast-path loads.
+    SpmmFixture fx(250, 2600, 91);
+    auto spmm = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+    auto spmm_kernel = native::compileNative(spmm, "parity-view-spmm");
+    auto spmm_program = runtime::bytecode::compile(spmm);
+    int64_t numel = fx.a.rows * fx.feat;
+    auto full = runtime::OffsetView::fromSpans({{0, numel}});
+    runtime::RunOptions spmm_options;
+    spmm_options.offsetViews.push_back(
+        runtime::BufferView{"C_data", &full});
+    NDArray c_vm({numel}, ir::DataType::float32());
+    NDArray c_native({numel}, ir::DataType::float32());
+    runtime::bytecode::execute(*spmm_program, fx.bindings(&c_vm),
+                               spmm_options);
+    native::execute(*spmm_kernel, fx.bindings(&c_native), spmm_options);
+    EXPECT_TRUE(bitwiseEqual(c_vm, c_native));
+    EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+}
+
+TEST(NativeFaultParity, WrongDtypeBindingRaisesVmClassDiagnostic)
+{
+    CacheDirGuard cache;
+    SpmmFixture fx(120, 900, 92);
+    auto func = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+    auto kernel = native::compileNative(func, "parity-dtype");
+    auto program = runtime::bytecode::compile(func);
+    NDArray c({fx.a.rows * fx.feat}, ir::DataType::float32());
+
+    // Column indices bound as float: the slot's entry flag is off,
+    // so the integer load takes the helper and faults on its class.
+    std::vector<float> float_indices(fx.a.indices.begin(),
+                                     fx.a.indices.end());
+    NDArray indices_f = NDArray::fromFloat(float_indices);
+    Bindings bindings = fx.bindings(&c);
+    bindings.arrays["J_indices"] = &indices_f;
+    std::string vm_error = internalErrorOf(
+        [&] { runtime::bytecode::execute(*program, bindings); });
+    std::string native_error = internalErrorOf(
+        [&] { native::execute(*kernel, bindings, runtime::RunOptions()); });
+    EXPECT_EQ(vm_error, "integer access to float buffer 'J_indices'");
+    EXPECT_EQ(native_error, vm_error);
+
+    // And the converse: float features bound as int32.
+    std::vector<int32_t> int_features(
+        static_cast<size_t>(fx.a.cols * fx.feat), 1);
+    NDArray b_i = NDArray::fromInt32(int_features);
+    bindings = fx.bindings(&c);
+    bindings.arrays["B_data"] = &b_i;
+    vm_error = internalErrorOf(
+        [&] { runtime::bytecode::execute(*program, bindings); });
+    native_error = internalErrorOf(
+        [&] { native::execute(*kernel, bindings, runtime::RunOptions()); });
+    EXPECT_EQ(vm_error, "float access to integer buffer 'B_data'");
+    EXPECT_EQ(native_error, vm_error);
+}
+
+TEST(NativeFaultParity, StackScratchOutOfBoundsRaisesVmDiagnostic)
+{
+    CacheDirGuard cache;
+    // f(n, out): for j in [0, 2): { acc[4] (scratch):
+    //   for i in [0, n): acc[i] = acc[i] + (i + 1);  out[j] = acc[0] }
+    auto func = ir::primFunc("scratch");
+    ir::Var n = ir::var("n");
+    ir::Var i = ir::var("i");
+    ir::Var j = ir::var("j");
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(2)},
+                                     ir::DataType::float32());
+    ir::Buffer acc = ir::denseBuffer("acc", {ir::intImm(4)},
+                                     ir::DataType::float32());
+    func->params = {n, out->data};
+    func->bufferMap.emplace_back(out->data, out);
+    ir::Stmt fill = ir::forLoop(
+        i, ir::intImm(0), n,
+        ir::bufferStore(acc, {i},
+                        ir::add(ir::bufferLoad(acc, {i}),
+                                ir::add(i, ir::intImm(1)))));
+    ir::Stmt publish =
+        ir::bufferStore(out, {j}, ir::bufferLoad(acc, {ir::intImm(0)}));
+    func->body = ir::forLoop(j, ir::intImm(0), ir::intImm(2),
+                             ir::allocate(acc, ir::seq({fill, publish})));
+    func->stage = ir::IrStage::kStage3;
+
+    native::EmitResult emitted = native::emitC(func, "parity-scratch");
+    std::string body = kernelBody(emitted.source);
+    EXPECT_NE(body.find("float p1[4] = {0};"), std::string::npos) << body;
+    EXPECT_EQ(body.find("st_alloc("), std::string::npos);
+
+    auto kernel = native::compileNative(func, "parity-scratch");
+    auto program = runtime::bytecode::compile(func);
+    NDArray out_vm({2}, ir::DataType::float32());
+    NDArray out_native({2}, ir::DataType::float32());
+    Bindings bindings;
+    bindings.scalars = {{"n", 4}};
+    bindings.arrays = {{"out_data", &out_vm}};
+    runtime::bytecode::execute(*program, bindings);
+    bindings.arrays["out_data"] = &out_native;
+    native::execute(*kernel, bindings, runtime::RunOptions());
+    // The scratch is zeroed on every entry: both j see acc[0] == 1.
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+    EXPECT_EQ(out_native.floatAt(0), 1.0);
+    EXPECT_EQ(out_native.floatAt(1), 1.0);
+
+    // One past the end: the VM's out-of-bounds diagnostic, carrying
+    // the scratch slot's real numel.
+    bindings.scalars = {{"n", 5}};
+    std::string native_error = internalErrorOf(
+        [&] { native::execute(*kernel, bindings, runtime::RunOptions()); });
+    bindings.arrays["out_data"] = &out_vm;
+    std::string vm_error = internalErrorOf(
+        [&] { runtime::bytecode::execute(*program, bindings); });
+    EXPECT_EQ(vm_error, "offset 4 out of bounds for buffer 'acc' (numel 4)");
+    EXPECT_EQ(native_error, vm_error);
 }
 
 // ---------------------------------------------------------------------
