@@ -75,7 +75,11 @@
  *     against each other; the native tier's compile count / disk
  *     hits / total compile ms ride along in BENCH_JSON as "tiers";
  *     CI gates the native/bytecode ratio on spmm_csr and spmm_hyb
- *     (check_perf_gate.py's third threshold).
+ *     (check_perf_gate.py's third threshold). spmm_csr also times a
+ *     plain C++ loop with the same bitwise semantics in the same
+ *     interleaved rounds (checked bitwise against the tiers); its
+ *     "native_efficiency" (reference ms / native ms) is gated by
+ *     check_perf_gate.py's fourth threshold.
  *
  * FAST=1 shrinks the graph for smoke runs. BENCH_JSON=<path> writes
  * the backend-comparison numbers as JSON for the CI perf gate and
@@ -128,6 +132,30 @@ bitwiseEqual(const NDArray &a, const NDArray &b)
            std::memcmp(a.rawData(), b.rawData(),
                        static_cast<size_t>(a.numel()) *
                            sizeof(float)) == 0;
+}
+
+/**
+ * C = A @ B as a plain loop with the tiers' bitwise semantics: per
+ * row, each output element accumulates in CSR order, the product and
+ * sum in double, rounded to float after every step. The reference a
+ * tier's kernel efficiency is measured against.
+ */
+void
+referenceSpmmCsr(const format::Csr &a, int64_t feat, const float *b,
+                 float *c)
+{
+    std::vector<float> acc(static_cast<size_t>(feat));
+    for (int64_t i = 0; i < a.rows; ++i) {
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (int32_t p = a.indptr[i]; p < a.indptr[i + 1]; ++p) {
+            double v = a.values[p];
+            const float *row = b + static_cast<int64_t>(a.indices[p]) * feat;
+            for (int64_t f = 0; f < feat; ++f) {
+                acc[f] = static_cast<float>(acc[f] + v * row[f]);
+            }
+        }
+        std::copy(acc.begin(), acc.end(), c + i * feat);
+    }
 }
 
 double
@@ -748,6 +776,14 @@ main()
     }
     double tier_rps[3][3] = {};
     std::vector<NDArray> tier_out[3];
+    // spmm_csr's reference loop runs once per compiled round, beside
+    // the tiers, and is rated by its median round like them.
+    std::vector<float> ref_out(static_cast<size_t>(g.rows * feat));
+    std::vector<double> ref_round_ms;
+    auto reference = [&] {
+        referenceSpmmCsr(g, feat, static_cast<const float *>(b.rawData()),
+                         ref_out.data());
+    };
     for (int f = 0; f < 3; ++f) {
         std::vector<double> round_ms[3];
         for (int t = 0; t < 3; ++t) {
@@ -763,6 +799,10 @@ main()
                     tier_families[f].dispatch(*tier_engs[t],
                                               &tier_out[t].back());
                 }));
+            }
+            if (f == 0) {
+                ref_round_ms.push_back(
+                    benchutil::timedRoundsMs(1, reference));
             }
         }
         for (int t = 0; t < 3; ++t) {
@@ -784,7 +824,19 @@ main()
         native_compile_ms = hist->second.sumMs;
     }
     tier_engs.clear();
-    bool tier_equal = true;
+    std::nth_element(ref_round_ms.begin(),
+                     ref_round_ms.begin() + ref_round_ms.size() / 2,
+                     ref_round_ms.end());
+    double ref_median_ms = ref_round_ms[ref_round_ms.size() / 2];
+    // Same-semantics loop vs the native tier's warm dispatch, which
+    // also pays the engine's dispatch path.
+    double native_efficiency =
+        tier_rps[2][0] > 0.0 ? ref_median_ms * tier_rps[2][0] / 1000.0
+                             : 0.0;
+    bool ref_equal =
+        std::memcmp(ref_out.data(), tier_out[0][0].rawData(),
+                    ref_out.size() * sizeof(float)) == 0;
+    bool tier_equal = ref_equal;
     for (int f = 0; f < 3; ++f) {
         bool equal = bitwiseEqual(tier_out[0][f], tier_out[1][f]) &&
                      bitwiseEqual(tier_out[0][f], tier_out[2][f]);
@@ -800,6 +852,11 @@ main()
                         : 0.0,
                     equal ? "yes" : "NO");
     }
+    std::printf("  spmm_csr   reference loop %.3f ms/request, native "
+                "efficiency %.2f (reference ms / native ms), bitwise "
+                "identical to the tiers: %s\n",
+                ref_median_ms, native_efficiency,
+                ref_equal ? "yes" : "NO");
     std::printf("  native tier: %llu kernel compile(s) in %.1f ms, "
                 "%llu disk hit(s), %llu fallback(s)\n",
                 static_cast<unsigned long long>(native_compiles),
@@ -899,14 +956,21 @@ main()
             bool equal =
                 bitwiseEqual(tier_out[0][f], tier_out[1][f]) &&
                 bitwiseEqual(tier_out[0][f], tier_out[2][f]);
+            char efficiency[64] = "";
+            if (f == 0) {
+                std::snprintf(efficiency, sizeof(efficiency),
+                              "\"native_efficiency\": %.4f, ",
+                              native_efficiency);
+                equal = equal && ref_equal;
+            }
             std::fprintf(
                 json,
                 "    \"%s\": {\"interpreter_req_per_s\": %.2f, "
                 "\"bytecode_req_per_s\": %.2f, "
-                "\"native_req_per_s\": %.2f, "
+                "\"native_req_per_s\": %.2f, %s"
                 "\"bitwise_identical\": %s}%s\n",
                 tier_families[f].op, tier_rps[0][f], tier_rps[1][f],
-                tier_rps[2][f], equal ? "true" : "false",
+                tier_rps[2][f], efficiency, equal ? "true" : "false",
                 f + 1 < 3 ? "," : "");
         }
         std::fprintf(json, "  },\n");

@@ -2,15 +2,17 @@
 """CI perf gate over bench_engine_throughput's JSON output.
 
 Usage: check_perf_gate.py <bench.json> <min_backend_speedup>
-                          <min_native_speedup>
+                          <min_native_speedup> <min_native_efficiency>
 
 Fails (exit 1) when the bytecode backend's warm-dispatch speedup over
 the interpreter falls below <min_backend_speedup>, when the two
 backends stopped producing bitwise-identical outputs, or when the
 native tier's warm req/s over the bytecode tier's ("tiers" object,
 experiment [11]) falls below <min_native_speedup> for spmm_csr or
-spmm_hyb. (A native tier that diverges bitwise already fails the
-bench's own exit status.) Malformed input — an unreadable or
+spmm_hyb, or when spmm_csr's native kernel efficiency (its tiers
+row's "native_efficiency": the same-semantics reference loop's ms over
+the native tier's) falls below <min_native_efficiency>. (A native tier
+that diverges bitwise already fails the bench's own exit status.) Malformed input — an unreadable or
 syntactically invalid JSON file, missing fields (including the
 "tiers" rows the native gate reads), or nonsense measurements
 (non-positive timings) — exits 2 with a diagnostic, so CI can tell
@@ -28,6 +30,8 @@ import sys
 
 # Op families whose native/bytecode warm req/s ratio is gated.
 NATIVE_GATED_OPS = ("spmm_csr", "spmm_hyb")
+# Op family whose native efficiency against its reference loop is gated.
+EFFICIENCY_GATED_OP = "spmm_csr"
 
 
 def fail_input(message: str) -> int:
@@ -37,13 +41,14 @@ def fail_input(message: str) -> int:
 
 
 def main() -> int:
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 5:
         print(__doc__, file=sys.stderr)
         return 2
     path = sys.argv[1]
     try:
         threshold = float(sys.argv[2])
         native_threshold = float(sys.argv[3])
+        efficiency_threshold = float(sys.argv[4])
     except ValueError:
         return fail_input(
             f"thresholds {sys.argv[2:]!r} must be numbers"
@@ -249,6 +254,30 @@ def main() -> int:
             native_failures.append(
                 f"{op}: native {native_ratio:.2f}x bytecode below "
                 f"the {native_threshold:.1f}x gate"
+            )
+        if op != EFFICIENCY_GATED_OP:
+            continue
+        try:
+            efficiency = float(row["native_efficiency"])
+        except (TypeError, KeyError, ValueError) as err:
+            return fail_input(
+                f"{path} tiers[{op!r}] has no usable native_efficiency "
+                f"(the efficiency gate needs it): {err}"
+            )
+        if efficiency <= 0.0:
+            return fail_input(
+                f"{path} tiers[{op!r}] holds a non-positive "
+                f"native_efficiency {efficiency}"
+            )
+        print(
+            f"native kernel efficiency [{op}]: {efficiency:.2f} of the "
+            f"same-semantics reference loop (threshold "
+            f"{efficiency_threshold:.2f})"
+        )
+        if efficiency < efficiency_threshold:
+            native_failures.append(
+                f"{op}: native efficiency {efficiency:.2f} below the "
+                f"{efficiency_threshold:.2f} gate"
             )
     try:
         compiles = int(data.get("native_compiles", 0))

@@ -1405,6 +1405,9 @@ Engine::spmmBsr(const format::Bsr &a, int64_t feat, NDArray *b,
                 &info));
 
     auto bind_start = std::chrono::steady_clock::now();
+    // The kernel's init only zeroes block rows that hold a block; the
+    // dispatch owns the overwrite contract for the empty ones.
+    c->zero();
     BindingSet bindings;
     bindBsrShared(&bindings, *artifact, a, feat);
     bindings.external("B_data", b);
@@ -1635,6 +1638,11 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
     bindBsrShared(&base, *artifact, a, feat);
     std::vector<runtime::Bindings> views =
         requestViews(base.view(), requests);
+    // After validation, like spmmHybBatch: the kernel never writes
+    // empty block rows, so the dispatch owns the overwrite contract.
+    for (const SpmmRequest &request : requests) {
+        request.c->zero();
+    }
     info.bindMs = msSince(bind_start);
     auto kernel_start = std::chrono::steady_clock::now();
     {

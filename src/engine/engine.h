@@ -343,7 +343,8 @@ class Engine
      * C = A @ B over the tiled BSR kernel (structured-pruned
      * weights). B is (blockCols*blockSize) x feat and C is
      * (blockRows*blockSize) x feat: the block grid's padded shape.
-     * Overwrite semantics (the kernel's init zeroes C).
+     * Overwrite semantics: the dispatch zeroes C (the kernel's init
+     * only covers block rows that hold a block).
      */
     DispatchInfo spmmBsr(const format::Bsr &a, int64_t feat,
                          runtime::NDArray *b, runtime::NDArray *c,

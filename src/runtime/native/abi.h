@@ -3,7 +3,8 @@
  * C ABI shared between the host and emitted native kernels.
  *
  * A native kernel is a self-contained C translation unit compiled
- * out-of-process (`cc -O2 -fPIC -shared`) and dlopen'd back into the
+ * out-of-process (`cc -O2 -ffp-contract=off -fno-tree-slp-vectorize
+ * -fPIC -shared`, see native_compiler.cc) and dlopen'd back into the
  * serving process. The host and the kernel communicate through the
  * two structs below: the emitted source contains a textually
  * identical definition of each (see c_emitter.cc's preamble), so both
@@ -37,9 +38,12 @@ namespace native {
  * not bump it. The typed fast path and stack scratch are such a
  * change: the kernel still reads slots through StSlot, stack scratch
  * only publishes numel/kind/ebytes/bound and leaves `base` null (the
- * host's free of scratch bases stays valid). Artifacts from an older
- * emitter re-key anyway, because the cache filename hashes the
- * emitted source.
+ * host's free of scratch bases stays valid). So are sunk lane regions
+ * (their per-lane arrays are plain C locals, not slots) and the
+ * compiler flags `-ffp-contract=off -fno-tree-slp-vectorize`, which
+ * keep the host compiler from changing a float rounding. Artifacts
+ * from an older emitter or older flags re-key anyway, because the
+ * cache filename hashes the flags and the emitted source.
  */
 constexpr int kNativeAbiVersion = 1;
 

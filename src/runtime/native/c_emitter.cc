@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +11,7 @@
 
 #include "ir/expr.h"
 #include "ir/stmt.h"
+#include "ir/structural_equal.h"
 #include "runtime/bytecode/program.h"
 #include "runtime/interpreter.h"
 #include "runtime/native/abi.h"
@@ -33,10 +35,18 @@ namespace {
  * (0 = ok) and record (slot, offset) in the context; the host turns
  * codes back into the VM's diagnostics.
  */
-const char kPreamble[] = R"(#include <math.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+const char kPreamble[] = R"(#include <stdint.h>
+
+/* The few libc/libm entry points the kernels use, without their headers
+ * (parsing math.h, stdlib.h and string.h dominated cc time of small
+ * kernels). The builtins lower to the same library calls. */
+#define exp __builtin_exp
+#define log __builtin_log
+#define sqrt __builtin_sqrt
+#define fabs __builtin_fabs
+#define memcpy __builtin_memcpy
+void *calloc(__SIZE_TYPE__ count, __SIZE_TYPE__ size);
+void free(void *ptr);
 
 typedef struct {
     unsigned char *base;
@@ -84,6 +94,11 @@ typedef struct {
 #define ST_LD(k, off, dst, slow) do { if ((uint64_t)(off) < (uint64_t)n##k) { dst = p##k[off]; } else { ST_CALL(slow(ctx, k, off, &dst)); } } while (0)
 #define ST_ST(k, off, val, slow) do { if ((uint64_t)(off) < (uint64_t)n##k) { p##k[off] = val; } else { ST_CALL(slow(ctx, k, off, val)); } } while (0)
 
+/* Sunk lane regions: a failed check jumps to the region's checked
+ * version instead of calling a helper. */
+#define ST_LDG(k, off, dst, label) do { if ((uint64_t)(off) >= (uint64_t)n##k) { goto label; } dst = p##k[off]; } while (0)
+#define ST_SPAN(k, lo, hi, label) do { if ((uint64_t)(lo) >= (uint64_t)n##k || (uint64_t)(hi) >= (uint64_t)n##k) { goto label; } } while (0)
+
 static int32_t st_fault(StCtx *ctx, int32_t code, int32_t slot, int64_t offset) {
     ctx->fault_slot = slot;
     ctx->fault_offset = offset;
@@ -96,6 +111,16 @@ static int64_t st_fast(const StCtx *ctx, int32_t slot, int32_t kind, uint64_t al
     int eligible = s->bound && !s->has_view && s->kind == kind &&
                    (uintptr_t)s->base % align == 0;
     return eligible ? s->numel : 0;
+}
+
+/* 1 when slots a and b share no memory. */
+static int32_t st_apart(const StCtx *ctx, int32_t a, int32_t b) {
+    const StSlot *x = &ctx->slots[a];
+    const StSlot *y = &ctx->slots[b];
+    uintptr_t xb = (uintptr_t)x->base;
+    uintptr_t yb = (uintptr_t)y->base;
+    return xb + (uint64_t)x->numel * (uint64_t)x->ebytes <= yb ||
+           yb + (uint64_t)y->numel * (uint64_t)y->ebytes <= xb;
 }
 
 /* Floor division toward negative infinity; callers guard divisor != 0. */
@@ -219,8 +244,8 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
     StSlot *s = &ctx->slots[slot];
     if (n < 0) { return st_fault(ctx, ST_FAULT_NEGALLOC, slot, n); }
     free(s->base);
-    s->base = (unsigned char *)calloc(n > 0 ? (size_t)n : 1, (size_t)ebytes);
-    if (s->base == NULL) { return st_fault(ctx, ST_FAULT_OOM, slot, n); }
+    s->base = (unsigned char *)calloc(n > 0 ? (__SIZE_TYPE__)n : 1, (__SIZE_TYPE__)ebytes);
+    if (!s->base) { return st_fault(ctx, ST_FAULT_OOM, slot, n); }
     s->numel = n;
     s->kind = kind;
     s->ebytes = ebytes;
@@ -232,6 +257,14 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
 
 /** Largest scratch allocation placed on the kernel's stack. */
 constexpr int64_t kStackScratchBytes = 4096;
+
+/**
+ * Fewest lanes a sunk region may have: narrower lane loops gain
+ * nothing from vectorizing, and a fully unrolled 2-lane region is the
+ * shape in which GCC 12's basic-block vectorizer was seen to drop the
+ * float rounding between reduction steps.
+ */
+constexpr int64_t kMinLanes = 4;
 
 /**
  * Stage III -> C translator for one function. Statement-oriented
@@ -309,6 +342,7 @@ class Emitter
             ++published;
         }
         decls += fastPathDecls();
+        decls += entryFlags_;
 
         std::string meta = "sparsetir-native;abi=" +
                            std::to_string(kNativeAbiVersion) +
@@ -457,11 +491,27 @@ class Emitter
     std::string
     emitLoad(const Buffer &buffer, const std::string &off, bool flt)
     {
-        int slot = slotFor(buffer);
         std::string t = tmp();
-        std::string helper = flt ? "st_ld_f" : "st_ld_i";
         std::string decl = std::string(flt ? "double " : "int64_t ") +
                            t + "; ";
+        if (!slowLabel_.empty()) {
+            // Sunk region: the lane's accumulator, a lane access whose
+            // range the region checked, or a checked hoisted load.
+            std::string init = std::string(flt ? "double " : "int64_t ") +
+                               t + " = ";
+            if (buffer->data.get() == lane_.acc) {
+                line(init + lane_.array + "[" + laneTok() + "];");
+            } else if (lane_.inLoop) {
+                line(init + "p" + slotTok(slotFor(buffer)) + "[" + off +
+                     "];");
+            } else {
+                line(decl + "ST_LDG(" + slotTok(slotFor(buffer)) + ", " +
+                     off + ", " + t + ", " + slowLabel_ + ");");
+            }
+            return t;
+        }
+        int slot = slotFor(buffer);
+        std::string helper = flt ? "st_ld_f" : "st_ld_i";
         if (fastAccess(slot, buffer->dtype, flt)) {
             line(decl + "ST_LD(" + slotTok(slot) + ", " + off + ", " +
                  t + ", " + helper + ");");
@@ -477,6 +527,15 @@ class Emitter
     emitStore(const Buffer &buffer, const std::string &off,
               const std::string &value, bool flt)
     {
+        if (!slowLabel_.empty()) {
+            // Sunk region: only lane loops store, to checked ranges.
+            std::string dst = buffer->data.get() == lane_.acc
+                                  ? lane_.array + "[" + laneTok() + "]"
+                                  : "p" + slotTok(slotFor(buffer)) + "[" +
+                                        off + "]";
+            line(dst + " = " + value + ";");
+            return;
+        }
         int slot = slotFor(buffer);
         std::string helper = flt ? "st_st_f" : "st_st_i";
         if (fastAccess(slot, buffer->dtype, flt)) {
@@ -678,6 +737,10 @@ class Emitter
             line("int64_t " + t + " = (int64_t)" + f + ";");
             return t;
         }
+        auto hoisted = lane_.hoisted.find(e.get());
+        if (hoisted != lane_.hoisted.end()) {
+            return hoisted->second;
+        }
         switch (e->kind) {
           case ExprKind::kIntImm:
             return intLiteral(
@@ -747,8 +810,11 @@ class Emitter
             if (!literal ||
                 static_cast<const IntImmNode *>(op->b.get())->value ==
                     0) {
-                line("if (" + b + " == 0) { return st_fault(ctx, "
-                     "ST_FAULT_DIV0, -1, 0); }");
+                line("if (" + b + " == 0) { " +
+                     (slowLabel_.empty()
+                          ? "return st_fault(ctx, ST_FAULT_DIV0, -1, 0);"
+                          : "goto " + slowLabel_ + ";") +
+                     " }");
             }
             if (e->kind == ExprKind::kFloorDiv) {
                 line("int64_t " + t + " = st_floordiv(" + a + ", " +
@@ -775,6 +841,10 @@ class Emitter
             std::string t = tmp();
             line("double " + t + " = (double)" + i + ";");
             return t;
+        }
+        auto hoisted = lane_.hoisted.find(e.get());
+        if (hoisted != lane_.hoisted.end()) {
+            return hoisted->second;
         }
         switch (e->kind) {
           case ExprKind::kFloatImm:
@@ -1078,27 +1148,7 @@ class Emitter
           case StmtKind::kBlock: {
             auto op = static_cast<const BlockNode *>(s.get());
             if (op->init != nullptr) {
-                // Fire the init only when every in-scope reduce var
-                // is at zero; vars not in scope never veto.
-                std::string cond;
-                for (const auto &rv : op->reduceVars) {
-                    auto it = vars_.find(rv.get());
-                    if (it != vars_.end()) {
-                        if (!cond.empty()) {
-                            cond += " && ";
-                        }
-                        cond += "(" + it->second.name + " == 0)";
-                    }
-                }
-                if (cond.empty()) {
-                    emitStmt(op->init);
-                } else {
-                    line("if (" + cond + ") {");
-                    ++indent_;
-                    emitStmt(op->init);
-                    --indent_;
-                    line("}");
-                }
+                emitInit(op, [&] { emitStmt(op->init); });
             }
             emitStmt(op->body);
             break;
@@ -1195,8 +1245,47 @@ class Emitter
         }
     }
 
+    /** Fire a Block's init only when every in-scope reduce var is at
+     *  zero; vars not in scope never veto. */
+    template <typename Init>
+    void
+    emitInit(const BlockNode *op, Init init)
+    {
+        std::string cond;
+        for (const auto &rv : op->reduceVars) {
+            auto it = vars_.find(rv.get());
+            if (it != vars_.end()) {
+                if (!cond.empty()) {
+                    cond += " && ";
+                }
+                cond += "(" + it->second.name + " == 0)";
+            }
+        }
+        if (cond.empty()) {
+            init();
+            return;
+        }
+        line("if (" + cond + ") {");
+        ++indent_;
+        init();
+        --indent_;
+        line("}");
+    }
+
     void
     emitFor(const ForNode *op)
+    {
+        LaneRegion region;
+        if (matchRegion(op, &region)) {
+            emitSunkRegion(region);
+        } else {
+            emitLoop(op, [&] { emitStmt(op->body); });
+        }
+    }
+
+    template <typename Body>
+    void
+    emitLoop(const ForNode *op, Body body)
     {
         std::string mn = emitI(op->minValue);
         std::string ext = emitI(op->extent);
@@ -1228,11 +1317,755 @@ class Emitter
         if (nonNeg(op->minValue)) {
             nonNegVars_.insert(op->loopVar.get());
         }
-        emitStmt(op->body);
+        body();
         vars_.erase(op->loopVar.get());
         nonNegVars_.erase(op->loopVar.get());
         --indent_;
         line("}");
+    }
+
+    // -----------------------------------------------------------------
+    // Sunk lane regions
+    // -----------------------------------------------------------------
+
+    /**
+     * A private-accumulator lane region: a loop L over a constant
+     * number of lanes whose body, per lane, initialises a one-element
+     * scratch S, runs a reduction R that writes only S and whose loop
+     * bounds do not depend on the lane, then writes S back with one
+     * store. Optionally a lane-prefix guard `a + l < b` (or `l < b`)
+     * wraps the body or sits inside R and around the write-back.
+     */
+    struct LaneRegion
+    {
+        const ForNode *loop = nullptr;
+        int64_t lanes = 0;
+        /** The guard condition, null when every lane is active. */
+        Expr guard;
+        /** Guard operands: a (null for `l < b`) and b. */
+        Expr guardA;
+        Expr guardB;
+        /** The guard wraps the whole lane body. */
+        bool outerGuard = false;
+        /** The accumulator S. */
+        Buffer acc;
+        /** S is allocated inside L, so it starts at zero per lane. */
+        bool accInside = false;
+        /** `S = v` ahead of R, when S is allocated outside L. */
+        const BufferStoreNode *init = nullptr;
+        const ForNode *reduce = nullptr;
+        const BufferStoreNode *writeback = nullptr;
+        /** Every load from an array other than S. */
+        std::vector<const BufferLoadNode *> loads;
+    };
+
+    /** Emission state of a sunk region's fast version. */
+    struct LaneState
+    {
+        const LaneRegion *region = nullptr;
+        /** Data var of S, and the per-lane array standing in for it. */
+        const VarNode *acc = nullptr;
+        std::string array;
+        /** Active-lane count token. */
+        std::string count;
+        /** Inside a lane loop: accesses are range-checked already. */
+        bool inLoop = false;
+        /** Tokens of the current statement's lane-invariant subtrees. */
+        std::unordered_map<const ExprNode *, std::string> hoisted;
+    };
+
+    /** Token of the lane index inside a lane loop. */
+    std::string
+    laneTok() const
+    {
+        return vars_.at(lane_.region->loop->loopVar.get()).name;
+    }
+
+    static bool
+    isZeroLiteral(const Expr &e)
+    {
+        return e->kind == ExprKind::kIntImm &&
+               static_cast<const IntImmNode *>(e.get())->value == 0;
+    }
+
+    static bool
+    isScalarIndex(const std::vector<Expr> &indices)
+    {
+        return indices.size() == 1 && isZeroLiteral(indices[0]);
+    }
+
+    /** Calls with no side effect and no fault. */
+    static bool
+    pureCall(const CallNode *op)
+    {
+        return op->op == Builtin::kExp || op->op == Builtin::kLog ||
+               op->op == Builtin::kSqrt || op->op == Builtin::kAbs;
+    }
+
+    /** Apply `pred` to e's operands; true if it holds for any. */
+    template <typename Pred>
+    static bool
+    anyOperand(const Expr &e, Pred pred)
+    {
+        switch (e->kind) {
+          case ExprKind::kNot:
+            return pred(static_cast<const NotNode *>(e.get())->a);
+          case ExprKind::kSelect: {
+            auto op = static_cast<const SelectNode *>(e.get());
+            return pred(op->cond) || pred(op->trueValue) ||
+                   pred(op->falseValue);
+          }
+          case ExprKind::kCast:
+            return pred(static_cast<const CastNode *>(e.get())->value);
+          case ExprKind::kBufferLoad: {
+            auto op = static_cast<const BufferLoadNode *>(e.get());
+            return std::any_of(op->indices.begin(), op->indices.end(),
+                               pred);
+          }
+          case ExprKind::kCall: {
+            auto op = static_cast<const CallNode *>(e.get());
+            return std::any_of(op->args.begin(), op->args.end(), pred);
+          }
+          default:
+            if (e->kind >= ExprKind::kAdd && e->kind <= ExprKind::kOr) {
+                auto op = static_cast<const BinaryNode *>(e.get());
+                return pred(op->a) || pred(op->b);
+            }
+            return false;
+        }
+    }
+
+    /** e reads the lane variable or S. */
+    static bool
+    laneDep(const Expr &e, const LaneRegion &r)
+    {
+        if (e->kind == ExprKind::kVar) {
+            return e.get() == r.loop->loopVar.get();
+        }
+        if (e->kind == ExprKind::kBufferLoad && r.acc != nullptr &&
+            static_cast<const BufferLoadNode *>(e.get())
+                    ->buffer->data.get() == r.acc->data.get()) {
+            return true;
+        }
+        return anyOperand(e, [&](const Expr &c) { return laneDep(c, r); });
+    }
+
+    /**
+     * e is lane-invariant and can be evaluated once, ahead of the lane
+     * loop, with every fault becoming a jump to the checked version.
+     * Records its loads.
+     */
+    static bool
+    hoistable(const Expr &e, LaneRegion *r)
+    {
+        if (laneDep(e, *r)) {
+            return false;
+        }
+        switch (e->kind) {
+          case ExprKind::kIntImm:
+          case ExprKind::kFloatImm:
+          case ExprKind::kVar:
+            return true;
+          case ExprKind::kBufferLoad:
+            r->loads.push_back(
+                static_cast<const BufferLoadNode *>(e.get()));
+            break;
+          case ExprKind::kCall:
+            if (!pureCall(static_cast<const CallNode *>(e.get()))) {
+                return false;
+            }
+            break;
+          case ExprKind::kStringImm:
+          case ExprKind::kRamp:
+          case ExprKind::kBroadcast:
+            return false;
+          default:
+            break;
+        }
+        return !anyOperand(e, [&](const Expr &c) {
+            return !hoistable(c, r);
+        });
+    }
+
+    /** e is an int offset of the form u + w * lane (u, w invariant). */
+    static bool
+    laneAffine(const Expr &e, LaneRegion *r)
+    {
+        if (!laneDep(e, *r)) {
+            return !e->dtype.isFloat() && hoistable(e, r);
+        }
+        switch (e->kind) {
+          case ExprKind::kVar:
+            return true;
+          case ExprKind::kAdd:
+          case ExprKind::kSub:
+          case ExprKind::kMul: {
+            auto op = static_cast<const BinaryNode *>(e.get());
+            return (e->kind != ExprKind::kMul || !laneDep(op->a, *r) ||
+                    !laneDep(op->b, *r)) &&
+                   laneAffine(op->a, r) && laneAffine(op->b, r);
+          }
+          default:
+            return false;
+        }
+    }
+
+    /**
+     * e can be computed per lane inside a branch-free lane loop: pure
+     * arithmetic over S, the lane index, lane-affine loads and
+     * hoistable subtrees.
+     */
+    static bool
+    laneExpr(const Expr &e, LaneRegion *r)
+    {
+        if (!laneDep(e, *r)) {
+            return hoistable(e, r);
+        }
+        switch (e->kind) {
+          case ExprKind::kVar:
+            return true;
+          case ExprKind::kBufferLoad: {
+            auto op = static_cast<const BufferLoadNode *>(e.get());
+            if (op->buffer->data.get() == r->acc->data.get()) {
+                return isScalarIndex(op->indices);
+            }
+            r->loads.push_back(op);
+            return op->indices.size() == 1 &&
+                   laneAffine(op->indices[0], r);
+          }
+          case ExprKind::kAdd:
+          case ExprKind::kSub:
+          case ExprKind::kMul:
+          case ExprKind::kDiv:
+          case ExprKind::kMin:
+          case ExprKind::kMax:
+          case ExprKind::kCast:
+            return !anyOperand(e, [&](const Expr &c) {
+                return !laneExpr(c, r);
+            });
+          case ExprKind::kCall:
+            return pureCall(static_cast<const CallNode *>(e.get())) &&
+                   !anyOperand(e, [&](const Expr &c) {
+                       return !laneExpr(c, r);
+                   });
+          default:
+            return false;
+        }
+    }
+
+    /** `cond` is `l < b` or `a + l < b` with a, b lane-invariant ints. */
+    static bool
+    matchGuard(const Expr &cond, LaneRegion *r)
+    {
+        if (cond->kind != ExprKind::kLT) {
+            return false;
+        }
+        auto lt = static_cast<const BinaryNode *>(cond.get());
+        const VarNode *lane = r->loop->loopVar.get();
+        auto invariant = [&](const Expr &e) {
+            return !e->dtype.isFloat() && hoistable(e, r);
+        };
+        Expr a;
+        if (lt->a.get() != lane) {
+            if (lt->a->kind != ExprKind::kAdd) {
+                return false;
+            }
+            auto add = static_cast<const BinaryNode *>(lt->a.get());
+            a = add->b.get() == lane ? add->a
+                                     : (add->a.get() == lane ? add->b
+                                                             : nullptr);
+            if (a == nullptr || !invariant(a)) {
+                return false;
+            }
+        }
+        if (!invariant(lt->b)) {
+            return false;
+        }
+        r->guard = cond;
+        r->guardA = a;
+        r->guardB = lt->b;
+        return true;
+    }
+
+    /** A lane-dependent condition inside the region: the lane guard. */
+    static bool
+    guardOk(const Expr &cond, LaneRegion *r)
+    {
+        if (r->guard != nullptr) {
+            return structuralEqual(cond, r->guard);
+        }
+        return r->accInside && matchGuard(cond, r);
+    }
+
+    /** `S[0] = v` with v computable per lane. */
+    static bool
+    accStoreOk(const Stmt &s, LaneRegion *r)
+    {
+        if (s->kind != StmtKind::kBufferStore) {
+            return false;
+        }
+        auto op = static_cast<const BufferStoreNode *>(s.get());
+        return op->buffer->data.get() == r->acc->data.get() &&
+               isScalarIndex(op->indices) && laneExpr(op->value, r);
+    }
+
+    /** R's body: loops with invariant bounds, invariant conditions or
+     *  the lane guard, Block inits, and stores to S only. */
+    static bool
+    reduceOk(const Stmt &s, LaneRegion *r)
+    {
+        switch (s->kind) {
+          case StmtKind::kFor: {
+            auto op = static_cast<const ForNode *>(s.get());
+            return hoistable(op->minValue, r) &&
+                   hoistable(op->extent, r) && reduceOk(op->body, r);
+          }
+          case StmtKind::kIfThenElse: {
+            auto op = static_cast<const IfThenElseNode *>(s.get());
+            return op->elseBody == nullptr &&
+                   (laneDep(op->cond, *r) ? guardOk(op->cond, r)
+                                          : hoistable(op->cond, r)) &&
+                   reduceOk(op->thenBody, r);
+          }
+          case StmtKind::kBlock: {
+            auto op = static_cast<const BlockNode *>(s.get());
+            for (const auto &rv : op->reduceVars) {
+                if (rv.get() == r->loop->loopVar.get()) {
+                    return false;
+                }
+            }
+            return (op->init == nullptr || accStoreOk(op->init, r)) &&
+                   reduceOk(op->body, r);
+          }
+          case StmtKind::kSeq: {
+            auto op = static_cast<const SeqStmtNode *>(s.get());
+            return std::all_of(op->seq.begin(), op->seq.end(),
+                               [&](const Stmt &c) { return reduceOk(c, r); });
+          }
+          case StmtKind::kBufferStore:
+            return accStoreOk(s, r);
+          default:
+            return false;
+        }
+    }
+
+    static void
+    flatten(const Stmt &s, std::vector<Stmt> *out)
+    {
+        if (s->kind == StmtKind::kSeq) {
+            for (const auto &child :
+                 static_cast<const SeqStmtNode *>(s.get())->seq) {
+                flatten(child, out);
+            }
+        } else {
+            out->push_back(s);
+        }
+    }
+
+    /** Stack scratch slot holding one float/double element. */
+    bool
+    scalarStackSlot(const Buffer &buffer) const
+    {
+        auto it = slotOf_.find(buffer->data.get());
+        if (it == slotOf_.end()) {
+            return false;
+        }
+        const SlotPlan &plan = plans_[static_cast<size_t>(it->second)];
+        return plan.stack && plan.numel == 1 &&
+               bytecode::elemKindIsFloat(
+                   static_cast<bytecode::ElemKind>(plan.kind));
+    }
+
+    /** Structural match of a lane region rooted at `op` (see LaneRegion). */
+    bool
+    matchRegion(const ForNode *op, LaneRegion *r) const
+    {
+        if (op == blockLoop_ || !isZeroLiteral(op->minValue) ||
+            op->extent->kind != ExprKind::kIntImm) {
+            return false;
+        }
+        r->loop = op;
+        r->lanes = static_cast<const IntImmNode *>(op->extent.get())->value;
+        if (r->lanes < kMinLanes || r->lanes > kStackScratchBytes / 8) {
+            return false;
+        }
+        Stmt s = op->body;
+        if (s->kind == StmtKind::kIfThenElse) {
+            auto guarded = static_cast<const IfThenElseNode *>(s.get());
+            if (guarded->elseBody != nullptr ||
+                !matchGuard(guarded->cond, r)) {
+                return false;
+            }
+            r->outerGuard = true;
+            s = guarded->thenBody;
+        }
+        if (s->kind == StmtKind::kAllocate) {
+            auto alloc = static_cast<const AllocateNode *>(s.get());
+            bytecode::ElemKind kind =
+                bytecode::elemKindOfDtype(alloc->buffer->dtype);
+            if (constantExtent(alloc->buffer->shape) != 1 ||
+                (kind != bytecode::ElemKind::kF32 &&
+                 kind != bytecode::ElemKind::kF64)) {
+                return false;
+            }
+            r->acc = alloc->buffer;
+            r->accInside = true;
+            s = alloc->body;
+        }
+        std::vector<Stmt> steps;
+        flatten(s, &steps);
+        size_t at = 0;
+        if (!r->accInside) {
+            // S lives on across lanes: it must be reset before R
+            // reads it, and no lane may be skipped.
+            if (r->guard != nullptr || steps.empty() ||
+                steps[0]->kind != StmtKind::kBufferStore) {
+                return false;
+            }
+            r->init = static_cast<const BufferStoreNode *>(steps[0].get());
+            r->acc = r->init->buffer;
+            if (!scalarStackSlot(r->acc) ||
+                !isScalarIndex(r->init->indices) ||
+                !hoistable(r->init->value, r)) {
+                return false;
+            }
+            at = 1;
+        }
+        if (steps.size() != at + 2 || steps[at]->kind != StmtKind::kFor ||
+            !reduceOk(steps[at], r)) {
+            return false;
+        }
+        r->reduce = static_cast<const ForNode *>(steps[at].get());
+        Stmt back = steps[at + 1];
+        bool backGuarded = r->outerGuard;
+        if (back->kind == StmtKind::kIfThenElse) {
+            auto guarded = static_cast<const IfThenElseNode *>(back.get());
+            if (guarded->elseBody != nullptr ||
+                !guardOk(guarded->cond, r)) {
+                return false;
+            }
+            backGuarded = true;
+            back = guarded->thenBody;
+        }
+        // Lanes past the guard must not write back.
+        if (back->kind != StmtKind::kBufferStore ||
+            (r->guard != nullptr && !backGuarded)) {
+            return false;
+        }
+        r->writeback = static_cast<const BufferStoreNode *>(back.get());
+        const Buffer &out = r->writeback->buffer;
+        size_t before = r->loads.size();
+        if (out->data.get() == r->acc->data.get() ||
+            slotOf_.count(out->data.get()) == 0 ||
+            r->writeback->indices.size() != 1 ||
+            !laneAffine(r->writeback->indices[0], r) ||
+            !laneExpr(r->writeback->value, r)) {
+            return false;
+        }
+        // The write-back's array may only be read per lane inside the
+        // write-back itself, which keeps its lane order; every other
+        // read runs ahead of the earlier lanes' write-backs.
+        int written = slotOf_.at(out->data.get());
+        for (size_t i = 0; i < r->loads.size(); ++i) {
+            const BufferLoadNode *load = r->loads[i];
+            auto slot = slotOf_.find(load->buffer->data.get());
+            if (slot == slotOf_.end()) {
+                return false;
+            }
+            if (slot->second == written &&
+                (i < before || !laneDep(load->indices[0], *r))) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /**
+     * Post-emission half of the match: every access of the region has
+     * a typed pointer (the checked version decided the slot kinds).
+     * Sets `*flag` to the entry flag that proves the written array
+     * shares no memory with another array the region reads, or leaves
+     * it empty when no such flag is needed.
+     */
+    bool
+    regionIsTyped(const LaneRegion &r, const std::string &id,
+                  std::string *flag)
+    {
+        auto typed = [&](const Buffer &buffer) {
+            const SlotPlan &plan =
+                plans_[static_cast<size_t>(slotFor(buffer))];
+            return cType(plan.kind) != nullptr &&
+                   bytecode::elemKindIsFloat(
+                       static_cast<bytecode::ElemKind>(plan.kind)) ==
+                       buffer->dtype.isFloat();
+        };
+        if (!typed(r.writeback->buffer)) {
+            return false;
+        }
+        int written = slotFor(r.writeback->buffer);
+        std::set<int> read;
+        for (const BufferLoadNode *load : r.loads) {
+            if (!typed(load->buffer)) {
+                return false;
+            }
+            read.insert(slotFor(load->buffer));
+        }
+        read.erase(written);
+        std::string apart;
+        for (int slot : read) {
+            if (written < numParamSlots_ && slot < numParamSlots_) {
+                apart += std::string(apart.empty() ? "" : " & ") +
+                         "st_apart(ctx, " + slotTok(written) + ", " +
+                         slotTok(slot) + ")";
+            }
+        }
+        if (!apart.empty()) {
+            *flag = "f" + id;
+            entryFlags_ += "    const int32_t " + *flag + " = " + apart +
+                           ";\n";
+        }
+        return true;
+    }
+
+    /**
+     * Emit a matched region twice: the fast version (below) and, as
+     * its fallback, the region's unchanged per-element-checked
+     * emission. Any failed check in the fast version jumps to the
+     * checked version before the fast version has written anything
+     * but its private array, so the checked version re-runs the whole
+     * region for this outer iteration and raises the VM's exact fault.
+     */
+    void
+    emitSunkRegion(const LaneRegion &r)
+    {
+        std::string id = std::to_string(regionCount_++);
+        std::string outer = std::move(body_);
+        body_.clear();
+        ++indent_;
+        emitLoop(r.loop, [&] { emitStmt(r.loop->body); });
+        std::string checked = std::move(body_);
+        body_.clear();
+        std::string flag;
+        bool typed = regionIsTyped(r, id, &flag);
+        if (typed) {
+            emitFastRegion(r, id, flag);
+        }
+        --indent_;
+        std::string fast = std::move(body_);
+        body_ = std::move(outer);
+        line("{");
+        body_ += typed ? fast : checked;
+        line("}");
+        if (typed) {
+            line("st_slow" + id + ": {");
+            body_ += checked;
+            line("}");
+            line("st_done" + id + ":;");
+        }
+    }
+
+    /**
+     * The fast version: S becomes a per-lane array, R runs outermost
+     * and each of its updates of S becomes a branch-free loop over the
+     * active lanes. Lane-invariant loads are checked once per R
+     * iteration, each lane-dependent access by one compare of its
+     * first- and last-lane offsets, all ahead of the lane loop.
+     */
+    void
+    emitFastRegion(const LaneRegion &r, const std::string &id,
+                   const std::string &flag)
+    {
+        line("/* sunk lane region " + id + " (" + r.loop->loopVar->name +
+             "): fast version */");
+        slowLabel_ = "st_slow" + id;
+        lane_.region = &r;
+        lane_.acc = r.acc->data.get();
+        lane_.array = "a" + id;
+        const VarNode *lane = r.loop->loopVar.get();
+        nonNegVars_.insert(lane);
+        std::string lanes = intLiteral(r.lanes);
+        std::string skip = flag.empty() ? "" : "!" + flag;
+        if (r.guard != nullptr) {
+            lane_.count = "m" + id;
+            std::string a =
+                r.guardA != nullptr ? emitI(r.guardA) : intLiteral(0);
+            std::string b = emitI(r.guardB);
+            line("int64_t " + lane_.count + " = " + b + " - " + a + ";");
+            line("if (" + lane_.count + " > " + lanes + ") { " +
+                 lane_.count + " = " + lanes + "; }");
+            skip = lane_.count + " <= 0" + (skip.empty() ? "" : " || ") +
+                   skip;
+        } else {
+            lane_.count = lanes;
+        }
+        if (!skip.empty()) {
+            line("if (" + skip + ") { goto " + slowLabel_ + "; }");
+        }
+        const char *ctype =
+            cType(static_cast<int>(bytecode::elemKindOfDtype(r.acc->dtype)));
+        line(std::string(ctype) + " " + lane_.array + "[" +
+             std::to_string(r.lanes) + "] = {0};");
+        if (r.init != nullptr) {
+            emitLaneStore(r.init, false);
+        }
+        emitLoop(r.reduce, [&] { emitReduce(r.reduce->body); });
+        emitLaneStore(r.writeback, false);
+        if (!r.accInside) {
+            // S outlives L: leave it holding the last lane's value.
+            line("p" + slotTok(slotFor(r.acc)) + "[0] = " + lane_.array +
+                 "[" + lane_.count + " - 1];");
+        }
+        line("goto st_done" + id + ";");
+        nonNegVars_.erase(lane);
+        vars_.erase(lane);
+        slowLabel_.clear();
+        lane_ = LaneState();
+    }
+
+    /** R's body in the fast version; see reduceOk for the shapes. */
+    void
+    emitReduce(const Stmt &s)
+    {
+        switch (s->kind) {
+          case StmtKind::kFor: {
+            auto op = static_cast<const ForNode *>(s.get());
+            emitLoop(op, [&] { emitReduce(op->body); });
+            break;
+          }
+          case StmtKind::kIfThenElse: {
+            auto op = static_cast<const IfThenElseNode *>(s.get());
+            if (laneDep(op->cond, *lane_.region)) {
+                // The lane guard: every lane a loop visits passes it.
+                emitReduce(op->thenBody);
+                break;
+            }
+            std::string c = emitI(op->cond);
+            line("if (" + c + " != 0) {");
+            ++indent_;
+            emitReduce(op->thenBody);
+            --indent_;
+            line("}");
+            break;
+          }
+          case StmtKind::kBlock: {
+            auto op = static_cast<const BlockNode *>(s.get());
+            if (op->init != nullptr) {
+                emitInit(op, [&] {
+                    emitLaneStore(
+                        static_cast<const BufferStoreNode *>(op->init.get()),
+                        false);
+                });
+            }
+            emitReduce(op->body);
+            break;
+          }
+          case StmtKind::kSeq:
+            for (const auto &child :
+                 static_cast<const SeqStmtNode *>(s.get())->seq) {
+                emitReduce(child);
+            }
+            break;
+          default:
+            emitLaneStore(static_cast<const BufferStoreNode *>(s.get()),
+                          true);
+        }
+    }
+
+    /**
+     * Emit e's maximal lane-invariant subtrees, memoised by node, and
+     * collect its lane-dependent loads other than S's: the accesses a
+     * lane loop makes unchecked.
+     */
+    void
+    hoist(const Expr &e, std::vector<const BufferLoadNode *> *lane_loads)
+    {
+        if (laneDep(e, *lane_.region)) {
+            if (e->kind == ExprKind::kBufferLoad &&
+                static_cast<const BufferLoadNode *>(e.get())
+                        ->buffer->data.get() != lane_.acc) {
+                lane_loads->push_back(
+                    static_cast<const BufferLoadNode *>(e.get()));
+            }
+            anyOperand(e, [&](const Expr &c) {
+                hoist(c, lane_loads);
+                return false;
+            });
+            return;
+        }
+        if (e->kind != ExprKind::kIntImm && e->kind != ExprKind::kFloatImm &&
+            e->kind != ExprKind::kVar) {
+            lane_.hoisted[e.get()] = isFloatExpr(e) ? emitF(e) : emitI(e);
+        }
+    }
+
+    /** Offset `off` evaluated at lane `at`. */
+    std::string
+    offsetAtLane(const Expr &off, const std::string &at)
+    {
+        vars_[lane_.region->loop->loopVar.get()] = CVar{false, at};
+        return emitI(off);
+    }
+
+    /**
+     * One store of the region as lane loop(s): its invariant subtrees
+     * and range checks first, then `for (l < active lanes)`. A hot
+     * store (an update inside R) gets a second copy of the loop with
+     * the literal lane count, taken when every lane is active, which
+     * the host compiler vectorizes without a scalar epilogue.
+     */
+    void
+    emitLaneStore(const BufferStoreNode *store, bool hot)
+    {
+        const LaneRegion &r = *lane_.region;
+        bool to_acc = store->buffer->data.get() == lane_.acc;
+        std::vector<const BufferLoadNode *> lane_loads;
+        hoist(store->value, &lane_loads);
+        std::vector<std::pair<const Buffer *, Expr>> ranges;
+        for (const BufferLoadNode *load : lane_loads) {
+            ranges.emplace_back(&load->buffer, load->indices[0]);
+        }
+        if (!to_acc) {
+            hoist(store->indices[0], &lane_loads);
+            ranges.emplace_back(&store->buffer, store->indices[0]);
+        }
+        std::string last = "(" + lane_.count + " - 1)";
+        for (const auto &[buffer, off] : ranges) {
+            std::string lo = offsetAtLane(off, intLiteral(0));
+            std::string hi = laneDep(off, r) ? offsetAtLane(off, last) : lo;
+            line("ST_SPAN(" + slotTok(slotFor(*buffer)) + ", " + lo + ", " +
+                 hi + ", " + slowLabel_ + ");");
+        }
+        auto loop = [&](const std::string &bound) {
+            std::string l = "l" + std::to_string(tmpCount_++);
+            line("for (int64_t " + l + " = 0; " + l + " < " + bound +
+                 "; ++" + l + ") {");
+            ++indent_;
+            vars_[r.loop->loopVar.get()] = CVar{false, l};
+            lane_.inLoop = true;
+            bool flt = store->buffer->dtype.isFloat();
+            std::string v = flt ? emitF(store->value) : emitI(store->value);
+            std::string off =
+                to_acc ? "" : emitOffset(store->buffer, store->indices);
+            emitStore(store->buffer, off, v, flt);
+            lane_.inLoop = false;
+            --indent_;
+            line("}");
+        };
+        std::string lanes = intLiteral(r.lanes);
+        if (hot && lane_.count != lanes) {
+            line("if (" + lane_.count + " == " + lanes + ") {");
+            ++indent_;
+            loop(lanes);
+            --indent_;
+            line("} else {");
+            ++indent_;
+            loop(lane_.count);
+            --indent_;
+            line("}");
+        } else {
+            loop(lane_.count);
+        }
+        lane_.hoisted.clear();
     }
 
     PrimFunc func_;
@@ -1251,6 +2084,14 @@ class Emitter
     std::vector<SlotPlan> plans_;
     std::unordered_set<const VarNode *> nonNegVars_;
     const ForNode *blockLoop_ = nullptr;
+    /** Sunk regions emitted so far (names their labels and arrays). */
+    int regionCount_ = 0;
+    /** Entry declarations of the regions' no-alias flags. */
+    std::string entryFlags_;
+    /** Where a failed check jumps while a fast version is emitted;
+     *  empty otherwise. */
+    std::string slowLabel_;
+    LaneState lane_;
 };
 
 } // namespace

@@ -21,6 +21,24 @@
  * compare per access; all others go through the checked st_ld_* /
  * st_st_* helpers, so fault diagnostics match the VM's on both paths.
  *
+ * Sunk lane regions. A constant-extent loop L (at least 4 lanes)
+ * whose body initialises a one-element float scratch S, runs a
+ * reduction R that writes only S with bounds independent of L's
+ * variable, and writes S back with one store (optionally under a
+ * lane-prefix guard `a + l < b`) is emitted twice. The fast version
+ * keeps one accumulator per lane in a C stack array, runs R outermost
+ * and each update of S as a branch-free loop over the active lanes;
+ * lane-invariant loads are checked once per R iteration and each
+ * lane-dependent access (affine in the lane) by one compare of its
+ * first- and last-lane offsets, all ahead of the lane loop. Every
+ * failed check, and a written array sharing memory with one the
+ * region reads, jumps to the second copy: the region's unchanged
+ * per-element-checked emission, which re-runs the region for that
+ * outer iteration. The fast version writes nothing but its private
+ * array before the write-back, so faults keep the VM's exact (slot,
+ * offset) and partial output, and every output element is summed in
+ * the same order, bitwise.
+ *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
  * extern calls) raise UserError, exactly like bytecode::compile;
  * callers treat that as "stay on the bytecode tier".

@@ -33,7 +33,19 @@ namespace {
 // Cache directory + filenames
 // ---------------------------------------------------------------------
 
-/** FNV-1a over the emitted source; the cache filename. A local copy
+/**
+ * Flags of every kernel compile, chosen for bitwise parity with the
+ * other tiers. `-ffp-contract=off` keeps the host compiler from fusing
+ * `a * b + c` into an FMA on targets that have one.
+ * `-fno-tree-slp-vectorize` turns off basic-block vectorization, which
+ * in GCC 12 dropped the float rounding of a fully unrolled two-lane
+ * accumulator between reduction steps; the lane loops of sunk regions
+ * are vectorized by the loop vectorizer, which stays on.
+ */
+constexpr const char kCcFlags[] =
+    " -O2 -ffp-contract=off -fno-tree-slp-vectorize -fPIC -shared";
+
+/** FNV-1a over the flags and emitted source; the cache filename. A local copy
  *  rather than the engine's fingerprint helper — runtime/ must not
  *  depend on engine/. */
 uint64_t
@@ -187,7 +199,7 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
         ";tag=" + key_tag + ";kernel=" + emitted.name;
     std::string dir = nativeCacheDir();
     std::string so_path =
-        dir + "/st_" + hex16(fnv1a(emitted.source)) + ".so";
+        dir + "/st_" + hex16(fnv1a(kCcFlags + emitted.source)) + ".so";
 
     auto kernel = std::make_shared<NativeKernel>();
     kernel->name = emitted.name;
@@ -228,7 +240,7 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
     }
 
     std::string command = compilerCommand() +
-                          " -O2 -fPIC -shared -o '" + tmp_so + "' '" +
+                          kCcFlags + " -o '" + tmp_so + "' '" +
                           c_path + "' 2>'" + err_path + "'";
     int rc;
     {
@@ -243,7 +255,7 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
         USER_CHECK(false)
             << "native compilation of '" << kernel->name
             << "' failed (command: " << compilerCommand()
-            << " -O2 -fPIC -shared): " << cc_err;
+            << kCcFlags << "): " << cc_err;
     }
     compileCounter().fetch_add(1, std::memory_order_relaxed);
     // Atomic install: concurrent processes either see the old file or

@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -323,11 +324,13 @@ struct CaseParams
 CaseParams
 randomParams(Rng *rng)
 {
-    constexpr int64_t kFeats[] = {1, 2, 3, 4, 5, 8, 16};
+    // 20 and 33 give the native tier's sunk lane regions (16 lanes)
+    // several lane chunks and a partial last chunk.
+    constexpr int64_t kFeats[] = {1, 2, 3, 4, 5, 8, 16, 20, 33};
     constexpr int kWorkers[] = {2, 4, 8};
     constexpr int64_t kMinChunks[] = {1, 4};
     CaseParams params;
-    params.feat = kFeats[rng->uniformInt(7)];
+    params.feat = kFeats[rng->uniformInt(std::size(kFeats))];
     params.config.partitions =
         static_cast<int>(rng->uniformRange(1, 3));
     params.config.bucketCapLog2 =

@@ -1,14 +1,17 @@
 /**
  * @file
  * Native (C -> .so) tier tests: emitter golden-source checks over the
- * six kernel families, differential runs asserting the dlopen'd
- * kernels are bitwise identical to the interpreter (block windows and
- * offset views included), the persistent artifact cache (warm start
- * across engine restarts with zero recompiles, corrupted and stale
- * artifacts rejected and rebuilt), the engine's promotion policy
- * (threshold crossing, one compile under 8-thread contention, atomic
- * swap) and graceful degradation to bytecode when the C compiler is
- * missing.
+ * six kernel families and over which families get sunk lane regions,
+ * differential runs asserting the dlopen'd kernels are bitwise
+ * identical to the interpreter and the VM (block windows, offset views,
+ * partial lane chunks and aliased arrays included), fault parity with
+ * the VM when a sunk region falls back to its checked copy, the
+ * persistent artifact cache (warm start across engine restarts with
+ * zero recompiles, corrupted and stale artifacts rejected and
+ * rebuilt), the engine's promotion policy (threshold crossing, one
+ * compile under 8-thread contention, atomic swap), graceful
+ * degradation to bytecode when the C compiler is missing, and BSR's
+ * overwrite contract on every tier.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +20,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <regex>
 #include <set>
@@ -28,10 +33,13 @@
 
 #include "core/ops.h"
 #include "core/pipeline.h"
+#include "dfg/lower.h"
 #include "engine/engine.h"
+#include "format/bsr.h"
 #include "format/hyb.h"
 #include "graph/generator.h"
 #include "ir/stmt.h"
+#include "model/graphsage.h"
 #include "runtime/bytecode/compiler.h"
 #include "runtime/bytecode/vm.h"
 #include "runtime/interpreter.h"
@@ -131,13 +139,18 @@ struct SpmmFixture
 
     SpmmFixture(int64_t rows, int64_t nnz, uint64_t seed,
                 int64_t feat_size = 16)
-        : a(graph::powerLawGraph(rows, nnz, 1.8, seed)),
+        : SpmmFixture(graph::powerLawGraph(rows, nnz, 1.8, seed),
+                      feat_size, seed + 1)
+    {
+    }
+
+    SpmmFixture(Csr csr, int64_t feat_size, uint64_t b_seed)
+        : a(std::move(csr)),
           feat(feat_size),
           indptr(NDArray::fromInt32(a.indptr)),
           indices(NDArray::fromInt32(a.indices)),
           values(NDArray::fromFloat(a.values)),
-          b(NDArray::fromFloat(randomVector(a.cols * feat_size,
-                                            seed + 1)))
+          b(NDArray::fromFloat(randomVector(a.cols * feat_size, b_seed)))
     {
     }
 
@@ -187,6 +200,29 @@ kernelBody(const std::string &source)
 {
     size_t at = source.find("int32_t sparsetir_kernel_run(StCtx *ctx)");
     return at == std::string::npos ? std::string() : source.substr(at);
+}
+
+/**
+ * `body` without the fast versions of its sunk lane regions (each from
+ * its marker comment to its `goto st_done<id>;`), which are appended
+ * to `*fast`.
+ */
+std::string
+withoutFastVersions(const std::string &body, std::vector<std::string> *fast)
+{
+    std::string rest;
+    size_t at = 0;
+    for (;;) {
+        size_t begin = body.find("/* sunk lane region ", at);
+        if (begin == std::string::npos) {
+            break;
+        }
+        size_t end = body.find('\n', body.find("goto st_done", begin));
+        rest += body.substr(at, begin - at);
+        fast->push_back(body.substr(begin, end - begin));
+        at = end;
+    }
+    return rest + body.substr(at);
 }
 
 /** Distinct slot numbers of every `<macro>(k, ...)` use in `body`. */
@@ -319,8 +355,30 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
                 << helper;
         }
 
-        const std::string body = kernelBody(src);
+        // The fast versions of sunk lane regions index typed pointers
+        // in their lane loops; each such slot's lane range is checked
+        // first (ST_SPAN) with the checked version as the jump target,
+        // except the copy of the last lane into an outer accumulator.
+        std::vector<std::string> fast;
+        const std::string body =
+            withoutFastVersions(kernelBody(src), &fast);
         ASSERT_FALSE(body.empty());
+        for (const std::string &version : fast) {
+            EXPECT_NE(version.find("st_slow"), std::string::npos);
+            EXPECT_EQ(version.find("ST_CALL("), std::string::npos);
+            std::regex slot_index(R"(\bp(\d+)\[)");
+            for (std::sregex_iterator it(version.begin(), version.end(),
+                                         slot_index),
+                 end;
+                 it != end; ++it) {
+                std::string k = (*it)[1].str();
+                EXPECT_TRUE(
+                    version.find("ST_SPAN(" + k + ", ") !=
+                        std::string::npos ||
+                    version.find("p" + k + "[0] = a") != std::string::npos)
+                    << "slot " << k << " in\n" << version;
+            }
+        }
         // Constant-extent scratch lives on the stack: no allocation
         // call in any family.
         EXPECT_EQ(body.find("st_alloc("), std::string::npos);
@@ -376,6 +434,96 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
         EXPECT_NE(std::find(params.begin(), params.end(), name),
                   params.end())
             << "missing param slot " << name;
+    }
+}
+
+/** The lines of the first `for (...; l < <bound>; ...)` loop in `text`
+ *  (header to closing brace), or "" when there is none. */
+std::string
+laneLoop(const std::string &text, const std::string &bound)
+{
+    std::regex header("for \\(int64_t (l\\d+) = 0; l\\d+ < " + bound +
+                      "; \\+\\+l\\d+\\) \\{");
+    std::smatch m;
+    if (!std::regex_search(text, m, header)) {
+        return "";
+    }
+    size_t begin = static_cast<size_t>(m.position(0));
+    int depth = 0;
+    for (size_t i = begin; i < text.size(); ++i) {
+        depth += text[i] == '{' ? 1 : (text[i] == '}' ? -1 : 0);
+        if (text[i] == '}' && depth == 0) {
+            return text.substr(begin, i + 1 - begin);
+        }
+    }
+    return "";
+}
+
+TEST(NativeEmitter, SinksLaneRegionsOfSpmmFamilies)
+{
+    struct Family
+    {
+        std::string tag;
+        ir::PrimFunc func;
+        bool sunk;
+    };
+    std::vector<Family> families;
+    families.push_back(
+        {"spmm", core::compileSpmmCsrFunc(16, core::SpmmSchedule()), true});
+    format::Hyb hyb =
+        format::hybFromCsr(graph::powerLawGraph(300, 3000, 1.9, 41), 2);
+    for (core::HybKernelPlan &plan : core::compileSpmmHybFuncs(hyb, 16)) {
+        families.push_back({"hyb-" + plan.suffix, plan.func, true});
+    }
+    families.push_back(
+        {"rgms", core::compileEllRgmsFunc(8, 4, 16, 16, "r0b0", false),
+         true});
+    Csr adj = graph::powerLawGraph(64, 400, 1.8, 42);
+    dfg::GraphLowering sage = dfg::lowerGraph(
+        model::buildGraphSageLayerGraph(
+            dfg::SparsityPattern::fromCsr(adj), 16, 16),
+        /*fuse=*/true);
+    ASSERT_TRUE(sage.fused) << sage.reason;
+    families.push_back({"graphsage", sage.funcs[0], true});
+    // BSR accumulates into C itself and SDDMM's lanes are already
+    // outermost: both keep the checked emission only.
+    families.push_back(
+        {"bsr", core::compileBsrSpmmFunc(2, 16, false), false});
+    families.push_back(
+        {"sddmm", core::compileSddmmFunc(16, core::SddmmSchedule()),
+         false});
+
+    for (const Family &family : families) {
+        SCOPED_TRACE(family.tag);
+        std::string body =
+            kernelBody(native::emitC(family.func, family.tag).source);
+        std::vector<std::string> fast;
+        std::string rest = withoutFastVersions(body, &fast);
+        if (!family.sunk) {
+            EXPECT_TRUE(fast.empty());
+            EXPECT_EQ(body.find("goto "), std::string::npos);
+            continue;
+        }
+        ASSERT_FALSE(fast.empty());
+        for (size_t i = 0; i < fast.size(); ++i) {
+            // Every fast version falls back to its own checked version.
+            std::string id = std::to_string(i);
+            EXPECT_NE(fast[i].find("st_slow" + id), std::string::npos);
+            EXPECT_NE(rest.find("st_slow" + id + ": {"), std::string::npos);
+            EXPECT_NE(rest.find("st_done" + id + ":;"), std::string::npos);
+            // The per-lane accumulator is a plain C array, not a slot.
+            EXPECT_NE(fast[i].find("float a" + id + "[16] = {0};"),
+                      std::string::npos)
+                << fast[i];
+            // The hot loop over all 16 lanes has no branch, check or
+            // helper call: it is what the host compiler vectorizes.
+            std::string loop = laneLoop(fast[i], "INT64_C\\(16\\)");
+            ASSERT_FALSE(loop.empty()) << fast[i];
+            for (const char *banned : {"if (", "goto", "ST_", "st_"}) {
+                EXPECT_EQ(loop.find(banned), std::string::npos)
+                    << banned << " in\n" << loop;
+            }
+        }
     }
 }
 
@@ -445,19 +593,56 @@ TEST(NativeEmitter, ConstantDivisorsFoldWithFloorSemantics)
 TEST(NativeKernel, SpmmCsrBitwiseMatchesInterpreter)
 {
     CacheDirGuard cache;
-    SpmmFixture fx(400, 5000, 71);
+    // 16 fills the sunk region's lanes; 5, 20 and 33 leave a partial
+    // last chunk, and 20 and 33 take several chunks.
+    for (int64_t feat : {16, 5, 20, 33}) {
+        SCOPED_TRACE(feat);
+        SpmmFixture fx(400, 5000, 71, feat);
+        auto func = core::compileSpmmCsrFunc(feat, core::SpmmSchedule());
+
+        uint64_t before = native::nativeCompileCount();
+        auto kernel = native::compileNative(
+            func, "diff-spmm-" + std::to_string(feat));
+        ASSERT_NE(kernel, nullptr);
+        EXPECT_FALSE(kernel->diskHit);
+        EXPECT_EQ(native::nativeCompileCount(), before + 1);
+
+        NDArray c_native({fx.a.rows * feat}, ir::DataType::float32());
+        NDArray c_vm({fx.a.rows * feat}, ir::DataType::float32());
+        native::execute(*kernel, fx.bindings(&c_native),
+                        runtime::RunOptions());
+        runtime::bytecode::execute(*runtime::bytecode::compile(func),
+                                   fx.bindings(&c_vm));
+        EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+        EXPECT_TRUE(bitwiseEqual(c_vm, c_native));
+    }
+}
+
+TEST(NativeKernel, SunkSpmmOutputAliasingValuesMatchesVm)
+{
+    CacheDirGuard cache;
+    // C bound to the array that also holds A's values: a row's earlier
+    // lanes write back values its later lanes read, so hoisting the
+    // value loads ahead of the write-backs would change the result.
+    // The entry no-alias flag sends every region to its checked
+    // version.
+    SpmmFixture fx(120, 900, 78);
     auto func = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
-
-    uint64_t before = native::nativeCompileCount();
-    auto kernel = native::compileNative(func, "diff-spmm");
-    ASSERT_NE(kernel, nullptr);
-    EXPECT_FALSE(kernel->diskHit);
-    EXPECT_EQ(native::nativeCompileCount(), before + 1);
-
-    NDArray c_native({fx.a.rows * fx.feat}, ir::DataType::float32());
-    native::execute(*kernel, fx.bindings(&c_native),
-                    runtime::RunOptions());
-    EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+    auto kernel = native::compileNative(func, "sunk-alias");
+    auto program = runtime::bytecode::compile(func);
+    std::vector<float> shared(
+        static_cast<size_t>(std::max(fx.a.rows * fx.feat, fx.a.nnz())),
+        0.0f);
+    std::copy(fx.a.values.begin(), fx.a.values.end(), shared.begin());
+    NDArray out_vm = NDArray::fromFloat(shared);
+    NDArray out_native = NDArray::fromFloat(shared);
+    Bindings bindings = fx.bindings(&out_vm);
+    bindings.arrays["A_data"] = &out_vm;
+    runtime::bytecode::execute(*program, bindings);
+    bindings.arrays["A_data"] = &out_native;
+    bindings.arrays["C_data"] = &out_native;
+    native::execute(*kernel, bindings, runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
 }
 
 TEST(NativeKernel, BlockWindowsComposeToFullRun)
@@ -623,6 +808,59 @@ TEST(NativeFaultParity, OffsetViewSlowPathMatchesVmBitwise)
     native::execute(*spmm_kernel, fx.bindings(&c_native), spmm_options);
     EXPECT_TRUE(bitwiseEqual(c_vm, c_native));
     EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+}
+
+TEST(NativeFaultParity, SunkRegionFaultsMatchVmExactly)
+{
+    CacheDirGuard cache;
+    // 6 x 10 CSR; row 2 reads column 8 (= cols - 2) before column 9.
+    Csr a;
+    a.rows = 6;
+    a.cols = 10;
+    a.indptr = {0, 2, 3, 6, 7, 7, 9};
+    a.indices = {0, 3, 1, 2, 8, 9, 4, 5, 9};
+    a.values = {0.5f, -1.25f, 2.0f, 0.75f, -0.5f, 1.5f, 3.0f, -2.0f, 0.25f};
+    const int64_t feat = 16;
+    auto func = core::compileSpmmCsrFunc(feat, core::SpmmSchedule());
+    auto kernel = native::compileNative(func, "sunk-fault");
+    auto program = runtime::bytecode::compile(func);
+
+    // The VM's diagnostic and the partial output it leaves behind,
+    // from identically prefilled outputs.
+    auto check = [&](const SpmmFixture &fx, const std::string &expected) {
+        std::vector<float> fill(static_cast<size_t>(a.rows * feat), 7.0f);
+        NDArray c_vm = NDArray::fromFloat(fill);
+        NDArray c_native = NDArray::fromFloat(fill);
+        std::string vm_error = internalErrorOf([&] {
+            runtime::bytecode::execute(*program, fx.bindings(&c_vm));
+        });
+        std::string native_error = internalErrorOf([&] {
+            native::execute(*kernel, fx.bindings(&c_native),
+                            runtime::RunOptions());
+        });
+        EXPECT_EQ(vm_error, expected);
+        EXPECT_EQ(native_error, vm_error);
+        EXPECT_TRUE(bitwiseEqual(c_vm, c_native));
+    };
+
+    // (a) An out-of-range column: row 3 reads column 15.
+    {
+        Csr bad = a;
+        bad.indices[6] = 15;
+        check(SpmmFixture(bad, feat, 95),
+              "offset 240 out of bounds for buffer 'B_data' (numel 160)");
+    }
+    // (b) B three elements short of column 8's last lanes and missing
+    // column 9. Row 2's lane 0 reaches column 9 (offset 144) before
+    // any lane reaches column 8's missing tail (offsets 141-143),
+    // which a sunk order (nnz outer, lanes inner) would meet first.
+    {
+        SpmmFixture fx(a, feat, 96);
+        std::vector<float> short_b(
+            static_cast<size_t>(a.cols * feat - feat - 3), 1.0f);
+        fx.b = NDArray::fromFloat(short_b);
+        check(fx, "offset 144 out of bounds for buffer 'B_data' (numel 141)");
+    }
 }
 
 TEST(NativeFaultParity, WrongDtypeBindingRaisesVmClassDiagnostic)
@@ -1050,6 +1288,70 @@ TEST(NativeEngine, HybBucketsPromoteEveryKernel)
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
     eng.spmmHyb(a, feat, &b, &c_warm, config);
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
+}
+
+TEST(NativeEngine, BsrEmptyBlockRowsZeroedOnEveryTier)
+{
+    CacheDirGuard cache;
+    // 32 x 32, non-zeros only in block rows 0 and 2 (block size 8).
+    Csr base;
+    base.rows = 32;
+    base.cols = 32;
+    base.indptr.push_back(0);
+    for (int32_t r = 0; r < 32; ++r) {
+        if ((r / 8) % 2 == 0) {
+            for (int32_t col : {r % 8, 8 + (r * 5) % 24}) {
+                base.indices.push_back(col);
+                base.values.push_back(0.25f * static_cast<float>(r + 1));
+            }
+        }
+        base.indptr.push_back(static_cast<int32_t>(base.indices.size()));
+    }
+    format::Bsr a = format::bsrFromCsr(base, 8);
+    const int64_t feat = 8;
+    const int64_t numel = a.blockRows * a.blockSize * feat;
+    NDArray b = NDArray::fromFloat(
+        randomVector(a.blockCols * a.blockSize * feat, 97));
+    std::vector<float> nan_fill(static_cast<size_t>(numel),
+                                std::numeric_limits<float>::quiet_NaN());
+
+    auto emptyRowsZero = [&](const NDArray &c) {
+        for (int64_t row = 0; row < a.blockRows * a.blockSize; ++row) {
+            if ((row / 8) % 2 == 1) {
+                for (int64_t j = 0; j < feat; ++j) {
+                    double v = c.floatAt(row * feat + j);
+                    if (v != 0.0 || std::signbit(v)) {
+                        return false;
+                    }
+                }
+            }
+        }
+        return true;
+    };
+
+    std::vector<NDArray> outputs;
+    for (Backend backend :
+         {Backend::kInterpreter, Backend::kBytecode, Backend::kNative}) {
+        SCOPED_TRACE(static_cast<int>(backend));
+        engine::EngineOptions options;
+        options.backend = backend;
+        options.nativePromoteAfter = 0;
+        engine::Engine eng(options);
+        NDArray c = NDArray::fromFloat(nan_fill);
+        eng.spmmBsr(a, feat, &b, &c);
+        EXPECT_TRUE(emptyRowsZero(c));
+
+        NDArray c0 = NDArray::fromFloat(nan_fill);
+        NDArray c1 = NDArray::fromFloat(nan_fill);
+        eng.spmmBsrBatch(a, feat, {{&b, &c0}, {&b, &c1}});
+        EXPECT_TRUE(emptyRowsZero(c0));
+        EXPECT_TRUE(bitwiseEqual(c, c0));
+        EXPECT_TRUE(bitwiseEqual(c, c1));
+        EXPECT_EQ(eng.nativeStats().fallbacks, 0u);
+        outputs.push_back(std::move(c));
+    }
+    EXPECT_TRUE(bitwiseEqual(outputs[0], outputs[1]));
+    EXPECT_TRUE(bitwiseEqual(outputs[0], outputs[2]));
 }
 
 TEST(NativeEngine, MissingCompilerDegradesToBytecode)
