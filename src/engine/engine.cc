@@ -177,21 +177,67 @@ verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
     }
 }
 
-/** Concrete structure facts shared by the CSR-backed kernels. */
+/**
+ * What a one-kernel op binds besides its per-request arrays: its
+ * scalar parameters, the names and contents of its two structure
+ * arrays, and the operand's values ("A_data"). The same description
+ * gives the verifier its facts on the miss path and the binder its
+ * arrays on every dispatch.
+ */
+struct KernelShape
+{
+    std::vector<std::pair<const char *, int64_t>> scalars;
+    const char *indptrName;
+    const char *indicesName;
+    const std::vector<int32_t> &indptr;
+    const std::vector<int32_t> &indices;
+    const std::vector<float> &values;
+};
+
+/** The CSR-backed kernels' shape (spmm_csr, sddmm; hyb's facts). */
+KernelShape
+csrShape(const Csr &a, int64_t feat)
+{
+    return {{{"m", a.rows}, {"n", a.cols}, {"nnz", a.nnz()},
+             {"feat_size", feat}},
+            "J_indptr", "J_indices", a.indptr, a.indices, a.values};
+}
+
+KernelShape
+bsrShape(const format::Bsr &a, int64_t feat)
+{
+    return {{{"mb", a.blockRows}, {"nb", a.blockCols},
+             {"nnzb", a.nnzBlocks()}, {"feat_size", feat}},
+            "JO_indptr", "JO_indices", a.indptr, a.indices, a.values};
+}
+
+KernelShape
+srbcrsShape(const format::SrBcrs &a, int64_t feat)
+{
+    return {{{"stripes", a.stripes}, {"n", a.cols},
+             {"total_groups", a.numGroups()}, {"feat_size", feat}},
+            "G_indptr", "T_indices", a.groupIndptr, a.tileCols,
+            a.values};
+}
+
+/** Concrete structure facts of a kernel shape. */
 verify::VerifyContext
-csrVerifyContext(const Csr &a, int64_t feat)
+shapeVerifyContext(const KernelShape &shape)
 {
     verify::VerifyContext ctx;
-    ctx.scalar("m", a.rows);
-    ctx.scalar("n", a.cols);
-    ctx.scalar("nnz", a.nnz());
-    ctx.scalar("feat_size", feat);
-    ctx.int32Array("J_indptr", a.indptr);
-    ctx.int32Array("J_indices", a.indices);
+    for (const auto &[name, value] : shape.scalars) {
+        ctx.scalar(name, value);
+    }
+    ctx.int32Array(shape.indptrName, shape.indptr);
+    ctx.int32Array(shape.indicesName, shape.indices);
     return ctx;
 }
 
-struct SpmmCsrArtifact : Artifact
+/**
+ * A one-kernel artifact (spmm_csr, sddmm, BSR, SR-BCRS): the kernel
+ * plus its two structure arrays, bound under its KernelShape's names.
+ */
+struct KernelArtifact : Artifact
 {
     CompiledKernel kernel;
     NDArray indptr;
@@ -204,48 +250,15 @@ struct SpmmCsrArtifact : Artifact
     }
 };
 
-struct SddmmArtifact : Artifact
+/**
+ * One ELL kernel of a cached hyb decomposition: a non-empty
+ * (partition, bucket) of hyb SpMM, or a (relation, bucket) RGMS unit
+ * of an RGCN layer.
+ */
+struct EllUnit
 {
-    CompiledKernel kernel;
-    NDArray indptr;
-    NDArray indices;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-struct BsrArtifact : Artifact
-{
-    CompiledKernel kernel;
-    NDArray indptr;
-    NDArray indices;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-struct SrbcrsArtifact : Artifact
-{
-    CompiledKernel kernel;
-    NDArray groupIndptr;
-    NDArray tileCols;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-/** One non-empty (partition, bucket) of a cached hyb decomposition. */
-struct HybBucketData
-{
+    /** RGCN: the relation whose values the unit gathers. */
+    int relation = 0;
     std::string suffix;
     CompiledKernel kernel;
     NDArray rowIndices;
@@ -254,44 +267,20 @@ struct HybBucketData
     std::vector<int32_t> gather;
 };
 
-struct SpmmHybArtifact : Artifact
+/** A hyb SpMM or RGCN artifact: its ELL units in execution order. */
+struct EllArtifact : Artifact
 {
+    /** Hyb: resolved bucket cap (k) and the source CSR structure. */
     int bucketCapLog2 = 0;
     NDArray indptr;
     NDArray indices;
-    std::vector<HybBucketData> buckets;
+    std::vector<EllUnit> units;
 
     std::vector<CompiledKernel *>
     nativeKernels() override
     {
         std::vector<CompiledKernel *> kernels;
-        for (HybBucketData &bucket : buckets) {
-            kernels.push_back(&bucket.kernel);
-        }
-        return kernels;
-    }
-};
-
-/** One (relation, bucket) RGMS kernel of a cached RGCN layer. */
-struct RgcnUnit
-{
-    int relation = 0;
-    std::string suffix;
-    CompiledKernel kernel;
-    NDArray rowIndices;
-    NDArray colIndices;
-    std::vector<int32_t> gather;
-};
-
-struct RgcnArtifact : Artifact
-{
-    std::vector<RgcnUnit> units;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        std::vector<CompiledKernel *> kernels;
-        for (RgcnUnit &unit : units) {
+        for (EllUnit &unit : units) {
             kernels.push_back(&unit.kernel);
         }
         return kernels;
@@ -349,10 +338,14 @@ class ScratchLeaseGuard
     ScratchLeaseGuard &operator=(const ScratchLeaseGuard &) = delete;
     ~ScratchLeaseGuard() { releaseAll(); }
 
-    void
-    add(NDArray *array)
+    /** Lease a float32 array released with the guard. */
+    NDArray *
+    lease(int64_t numel)
     {
-        arrays_.push_back(array);
+        ScratchPool::Lease lease =
+            executor_->leaseScratch(numel, ir::DataType::float32());
+        arrays_.push_back(lease.array);
+        return lease.array;
     }
 
     void
@@ -374,92 +367,55 @@ class ScratchLeaseGuard
 // ---------------------------------------------------------------------
 
 std::shared_ptr<Artifact>
-buildSpmmCsrArtifact(const Csr &a, int64_t feat,
-                     const core::SpmmSchedule &schedule,
-                     bool bytecode, bool verify)
+buildKernelArtifact(const ir::PrimFunc &func, const KernelShape &shape,
+                    const char *what, bool bytecode, bool verify)
 {
-    auto artifact = std::make_shared<SpmmCsrArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSpmmCsrFunc(feat, schedule), bytecode);
+    auto artifact = std::make_shared<KernelArtifact>();
+    artifact->kernel = compileKernel(func, bytecode);
     if (verify) {
-        verify::VerifyContext ctx = csrVerifyContext(a, feat);
+        verify::VerifyContext ctx = shapeVerifyContext(shape);
         declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "spmm_csr");
+        verifyKernelInto(artifact.get(), artifact->kernel, ctx, what);
     }
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
+    artifact->indptr = NDArray::fromInt32(shape.indptr);
+    artifact->indices = NDArray::fromInt32(shape.indices);
     return artifact;
 }
 
-std::shared_ptr<Artifact>
-buildSddmmArtifact(const Csr &a, int64_t feat,
-                   const core::SddmmSchedule &schedule, bool bytecode,
-                   bool verify)
+/**
+ * Compile one ELL unit. Its kernel runs exclusive when long rows were
+ * split into several ELL rows, its accumulated output `out` is
+ * restricted to the unit's rows (`row_width` elements each), and when
+ * `facts` is non-null it is verified against them plus the unit's
+ * arrays.
+ */
+EllUnit
+compileEllUnit(Artifact *artifact, const format::Ell &ell,
+               const ir::PrimFunc &func, std::string suffix,
+               const char *out, int64_t row_width, bool bytecode,
+               const verify::VerifyContext *facts,
+               const std::string &what)
 {
-    auto artifact = std::make_shared<SddmmArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSddmmFunc(feat, schedule), bytecode);
-    if (verify) {
-        verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "sddmm");
+    EllUnit unit;
+    unit.suffix = std::move(suffix);
+    unit.kernel = compileKernel(func, bytecode);
+    unit.kernel.exclusive = hasDuplicateRows(ell.rowIndices);
+    restrictAccumSpans(&unit.kernel, out, ell.rowIndices, row_width);
+    if (facts != nullptr) {
+        verify::VerifyContext ctx = *facts;
+        ctx.int32Array(core::ellRowIndicesParam(unit.suffix),
+                       ell.rowIndices);
+        ctx.int32Array(core::ellColIndicesParam(unit.suffix),
+                       ell.colIndices);
+        declareAccumSpec(&ctx, unit.kernel,
+                         core::ellRowIndicesParam(unit.suffix),
+                         &ell.rowIndices, row_width);
+        verifyKernelInto(artifact, unit.kernel, ctx, what);
     }
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildBsrArtifact(const format::Bsr &a, int64_t feat,
-                 const BsrConfig &config, bool bytecode, bool verify)
-{
-    auto artifact = std::make_shared<BsrArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileBsrSpmmFunc(a.blockSize, feat,
-                                 config.tensorCores),
-        bytecode);
-    if (verify) {
-        verify::VerifyContext ctx;
-        ctx.scalar("mb", a.blockRows);
-        ctx.scalar("nb", a.blockCols);
-        ctx.scalar("nnzb", a.nnzBlocks());
-        ctx.scalar("feat_size", feat);
-        ctx.int32Array("JO_indptr", a.indptr);
-        ctx.int32Array("JO_indices", a.indices);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "bsr_spmm");
-    }
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
-                    bool bytecode, bool verify)
-{
-    auto artifact = std::make_shared<SrbcrsArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSrbcrsSpmmFunc(a.tileHeight, a.groupSize, feat),
-        bytecode);
-    if (verify) {
-        verify::VerifyContext ctx;
-        ctx.scalar("stripes", a.stripes);
-        ctx.scalar("n", a.cols);
-        ctx.scalar("total_groups", a.numGroups());
-        ctx.scalar("feat_size", feat);
-        ctx.int32Array("G_indptr", a.groupIndptr);
-        ctx.int32Array("T_indices", a.tileCols);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "srbcrs_spmm");
-    }
-    artifact->groupIndptr = NDArray::fromInt32(a.groupIndptr);
-    artifact->tileCols = NDArray::fromInt32(a.tileCols);
-    return artifact;
+    unit.rowIndices = NDArray::fromInt32(ell.rowIndices);
+    unit.colIndices = NDArray::fromInt32(ell.colIndices);
+    unit.gather = ell.sourcePos;
+    return unit;
 }
 
 std::shared_ptr<Artifact>
@@ -472,36 +428,20 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
     std::vector<core::HybKernelPlan> plans =
         core::compileSpmmHybFuncs(hyb, feat, config.threadX);
 
-    auto artifact = std::make_shared<SpmmHybArtifact>();
+    auto artifact = std::make_shared<EllArtifact>();
     artifact->bucketCapLog2 = hyb.maxWidthLog2;
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
-    artifact->buckets.reserve(plans.size());
+    artifact->units.reserve(plans.size());
+    verify::VerifyContext facts;
+    if (verify) {
+        facts = shapeVerifyContext(csrShape(a, feat));
+    }
     for (const core::HybKernelPlan &plan : plans) {
-        const format::Ell &ell =
-            hyb.buckets[plan.partition][plan.bucket];
-        HybBucketData bucket;
-        bucket.suffix = plan.suffix;
-        bucket.kernel = compileKernel(plan.func, bytecode);
-        bucket.kernel.exclusive = hasDuplicateRows(ell.rowIndices);
-        restrictAccumSpans(&bucket.kernel, "C_data", ell.rowIndices,
-                           feat);
-        if (verify) {
-            verify::VerifyContext ctx = csrVerifyContext(a, feat);
-            ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
-                           ell.rowIndices);
-            ctx.int32Array(core::ellColIndicesParam(plan.suffix),
-                           ell.colIndices);
-            declareAccumSpec(&ctx, bucket.kernel,
-                             core::ellRowIndicesParam(plan.suffix),
-                             &ell.rowIndices, feat);
-            verifyKernelInto(artifact.get(), bucket.kernel, ctx,
-                             "spmm_ell_" + plan.suffix);
-        }
-        bucket.rowIndices = NDArray::fromInt32(ell.rowIndices);
-        bucket.colIndices = NDArray::fromInt32(ell.colIndices);
-        bucket.gather = ell.sourcePos;
-        artifact->buckets.push_back(std::move(bucket));
+        artifact->units.push_back(compileEllUnit(
+            artifact.get(), hyb.buckets[plan.partition][plan.bucket],
+            plan.func, plan.suffix, "C_data", feat, bytecode,
+            verify ? &facts : nullptr, "spmm_ell_" + plan.suffix));
     }
     return artifact;
 }
@@ -511,7 +451,10 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
                   int64_t feat_out, const RgcnConfig &config,
                   bool bytecode, bool verify)
 {
-    auto artifact = std::make_shared<RgcnArtifact>();
+    auto artifact = std::make_shared<EllArtifact>();
+    verify::VerifyContext facts;
+    facts.scalar("m", graph.rows);
+    facts.scalar("n", graph.cols);
     for (int64_t r = 0; r < graph.numRelations(); ++r) {
         const Csr &rel = graph.relations[r];
         if (rel.nnz() == 0) {
@@ -524,46 +467,22 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
             if (bucket.numRows() == 0) {
                 continue;
             }
-            RgcnUnit unit;
-            unit.relation = static_cast<int>(r);
-            unit.suffix =
+            std::string suffix =
                 "r" + std::to_string(r) + "b" + std::to_string(b);
             int rows_per_block = model::rgcnRowsPerBlock(bucket.width);
-            unit.kernel = compileKernel(
-                core::compileEllRgmsFunc(bucket.numRows(),
-                                         bucket.width, feat_in,
-                                         feat_out, unit.suffix,
-                                         config.tensorCores,
-                                         rows_per_block),
-                bytecode);
-            unit.kernel.exclusive =
-                hasDuplicateRows(bucket.rowIndices);
             // A unit touches only its bucket's rows of Y; on
             // many-relation graphs this trims the per-unit zero/fold
             // from the whole output to a few percent of it.
-            restrictAccumSpans(&unit.kernel, "Y_data",
-                               bucket.rowIndices, feat_out);
-            if (verify) {
-                verify::VerifyContext ctx;
-                ctx.scalar("m", graph.rows);
-                ctx.scalar("n", graph.cols);
-                ctx.int32Array(
-                    core::ellRowIndicesParam(unit.suffix),
-                    bucket.rowIndices);
-                ctx.int32Array(
-                    core::ellColIndicesParam(unit.suffix),
-                    bucket.colIndices);
-                declareAccumSpec(
-                    &ctx, unit.kernel,
-                    core::ellRowIndicesParam(unit.suffix),
-                    &bucket.rowIndices, feat_out);
-                verifyKernelInto(artifact.get(), unit.kernel, ctx,
-                                 "rgms_" + unit.suffix);
-            }
-            unit.rowIndices = NDArray::fromInt32(bucket.rowIndices);
-            unit.colIndices = NDArray::fromInt32(bucket.colIndices);
-            unit.gather = bucket.sourcePos;
-            artifact->units.push_back(std::move(unit));
+            artifact->units.push_back(compileEllUnit(
+                artifact.get(), bucket,
+                core::compileEllRgmsFunc(bucket.numRows(),
+                                         bucket.width, feat_in,
+                                         feat_out, suffix,
+                                         config.tensorCores,
+                                         rows_per_block),
+                suffix, "Y_data", feat_out, bytecode,
+                verify ? &facts : nullptr, "rgms_" + suffix));
+            artifact->units.back().relation = static_cast<int>(r);
         }
     }
     USER_CHECK(!artifact->units.empty())
@@ -618,17 +537,14 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
 // Cache keys
 // ---------------------------------------------------------------------
 
+/** Key of a CSR-backed op: the CSR's structure, shape and feat. */
 CacheKey
-spmmCsrKey(const Csr &a, int64_t feat,
-           const core::SpmmSchedule &schedule)
+csrKey(OpKind op, const Csr &a, int64_t feat, uint64_t schedule)
 {
     CacheKey key;
-    key.op = OpKind::kSpmmCsr;
+    key.op = op;
     key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(schedule.threadX)
-                       .i64(schedule.rowsPerBlock)
-                       .digest();
+    key.schedule = schedule;
     key.featIn = feat;
     key.featOut = feat;
     key.rows = a.rows;
@@ -637,39 +553,36 @@ spmmCsrKey(const Csr &a, int64_t feat,
 }
 
 CacheKey
+spmmCsrKey(const Csr &a, int64_t feat,
+           const core::SpmmSchedule &schedule)
+{
+    return csrKey(OpKind::kSpmmCsr, a, feat,
+                  Fingerprint()
+                      .i64(schedule.threadX)
+                      .i64(schedule.rowsPerBlock)
+                      .digest());
+}
+
+CacheKey
 spmmHybKey(const Csr &a, int64_t feat, const HybConfig &config)
 {
-    CacheKey key;
-    key.op = OpKind::kSpmmHyb;
-    key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(config.partitions)
-                       .i64(config.bucketCapLog2)
-                       .i64(config.threadX)
-                       .digest();
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnz();
-    return key;
+    return csrKey(OpKind::kSpmmHyb, a, feat,
+                  Fingerprint()
+                      .i64(config.partitions)
+                      .i64(config.bucketCapLog2)
+                      .i64(config.threadX)
+                      .digest());
 }
 
 CacheKey
 sddmmKey(const Csr &a, int64_t feat,
          const core::SddmmSchedule &schedule)
 {
-    CacheKey key;
-    key.op = OpKind::kSddmm;
-    key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(schedule.workloadsPerBlock)
-                       .i64(schedule.groupSize)
-                       .digest();
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnz();
-    return key;
+    return csrKey(OpKind::kSddmm, a, feat,
+                  Fingerprint()
+                      .i64(schedule.workloadsPerBlock)
+                      .i64(schedule.groupSize)
+                      .digest());
 }
 
 CacheKey
@@ -746,11 +659,10 @@ spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
  * (`for_simulation`) must bind every parameter, as gpusim rejects
  * unbound handles.
  */
-std::shared_ptr<BindingSet>
-bindSpmmHyb(SpmmHybArtifact &artifact, const Csr &a, int64_t feat,
-            bool for_simulation)
+void
+bindSpmmHyb(BindingSet *shared, EllArtifact &artifact, const Csr &a,
+            int64_t feat, bool for_simulation)
 {
-    auto shared = std::make_shared<BindingSet>();
     shared->scalar("m", a.rows);
     shared->scalar("n", a.cols);
     shared->scalar("nnz", a.nnz());
@@ -760,7 +672,7 @@ bindSpmmHyb(SpmmHybArtifact &artifact, const Csr &a, int64_t feat,
         shared->external("J_indices", &artifact.indices);
         shared->own("A_data", NDArray::fromFloat(a.values));
     }
-    for (HybBucketData &bucket : artifact.buckets) {
+    for (EllUnit &bucket : artifact.units) {
         shared->external(core::ellRowIndicesParam(bucket.suffix),
                          &bucket.rowIndices);
         shared->external(core::ellColIndicesParam(bucket.suffix),
@@ -769,71 +681,136 @@ bindSpmmHyb(SpmmHybArtifact &artifact, const Csr &a, int64_t feat,
                     NDArray::fromFloat(
                         gatherValues(bucket.gather, a.values)));
     }
-    return shared;
 }
 
-/** Scalars, structure arrays and values shared by a BSR dispatch. */
-void
-bindBsrShared(BindingSet *bindings, BsrArtifact &artifact,
-              const format::Bsr &a, int64_t feat)
+/** An ELL artifact's kernels, in unit order. */
+std::vector<const CompiledKernel *>
+unitKernels(const Artifact &artifact)
 {
-    bindings->scalar("mb", a.blockRows);
-    bindings->scalar("nb", a.blockCols);
-    bindings->scalar("nnzb", a.nnzBlocks());
-    bindings->scalar("feat_size", feat);
-    bindings->external("JO_indptr", &artifact.indptr);
-    bindings->external("JO_indices", &artifact.indices);
-    bindings->own("A_data", NDArray::fromFloat(a.values));
-}
-
-/** Scalars, structure arrays and values of an SR-BCRS dispatch. */
-void
-bindSrbcrsShared(BindingSet *bindings, SrbcrsArtifact &artifact,
-                 const format::SrBcrs &a, int64_t feat)
-{
-    bindings->scalar("stripes", a.stripes);
-    bindings->scalar("n", a.cols);
-    bindings->scalar("total_groups", a.numGroups());
-    bindings->scalar("feat_size", feat);
-    bindings->external("G_indptr", &artifact.groupIndptr);
-    bindings->external("T_indices", &artifact.tileCols);
-    bindings->own("A_data", NDArray::fromFloat(a.values));
+    std::vector<const CompiledKernel *> kernels;
+    for (const EllUnit &unit :
+         static_cast<const EllArtifact &>(artifact).units) {
+        kernels.push_back(&unit.kernel);
+    }
+    return kernels;
 }
 
 /**
- * Per-request binding views of a batch: the shared base plus each
- * request's private B/C. Outputs must be distinct, and no output may
- * alias any request's input — requests run concurrently, so a write
- * into another request's (or its own) feature matrix would race and
- * break the bitwise contract. Sharing one read-only B across
- * requests is fine.
+ * Values are not part of the cache key, so a warm hit never re-runs
+ * format::checkCsr: every CSR-backed dispatch re-checks the one rule
+ * a request can break on a known structure.
  */
-std::vector<runtime::Bindings>
-requestViews(const runtime::Bindings &base,
-             const std::vector<SpmmRequest> &requests)
+void
+checkValues(const Csr &a)
+{
+    USER_CHECK(static_cast<int64_t>(a.values.size()) == a.nnz())
+        << "malformed CSR: values has " << a.values.size()
+        << " entries, indices has " << a.nnz()
+        << " (values.size() must equal nnz)";
+}
+
+/**
+ * Validate SpMM requests and list their arrays. Outputs must be
+ * distinct, and no output may alias any request's input: requests run
+ * concurrently, and every kernel reads B while it writes C, so a
+ * write into another request's (or its own) feature matrix breaks
+ * the bitwise contract. Sharing one read-only B across requests is
+ * fine.
+ */
+std::vector<RequestArrays>
+spmmRequests(const std::vector<SpmmRequest> &requests)
 {
     std::unordered_set<const NDArray *> outputs;
     outputs.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
         USER_CHECK(request.b != nullptr && request.c != nullptr)
-            << "batched SpMM request is missing a feature or output "
-               "array";
+            << "SpMM request is missing a feature or output array";
         USER_CHECK(outputs.insert(request.c).second)
             << "batched SpMM requests must bind distinct output "
                "arrays";
     }
-    std::vector<runtime::Bindings> views;
-    views.reserve(requests.size());
+    std::vector<RequestArrays> arrays;
+    arrays.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
         USER_CHECK(outputs.count(request.b) == 0)
-            << "batched SpMM request aliases a feature matrix with "
-               "an output array";
-        runtime::Bindings view = base;
-        view.arrays["B_data"] = request.b;
-        view.arrays["C_data"] = request.c;
-        views.push_back(std::move(view));
+            << "SpMM request aliases a feature matrix with an output "
+               "array";
+        arrays.push_back({{"B_data", request.b}, {"C_data", request.c}});
     }
-    return views;
+    return arrays;
+}
+
+} // namespace
+
+/**
+ * One op's share of a dispatch: everything Engine::dispatch needs
+ * that differs between entry points.
+ */
+struct DispatchSpec
+{
+    OpKind op = OpKind::kSpmmCsr;
+    CacheKey key;
+    /** Miss-path builder, given (bytecode, verify). */
+    std::function<std::shared_ptr<Artifact>(bool, bool)> build;
+    /**
+     * Binds the shared base (scalars, structure arrays, gathered
+     * values; scratch through the guard) and returns the kernels in
+     * execution order.
+     */
+    std::function<std::vector<const CompiledKernel *>(
+        Artifact &, BindingSet *, ScratchLeaseGuard *)>
+        bind;
+    /**
+     * Prepared handle: the artifact and its bound base, used instead
+     * of resolving and binding (bind only lists the kernels).
+     */
+    std::shared_ptr<Artifact> prepared;
+    const runtime::Bindings *preparedBase = nullptr;
+    /**
+     * Request array the dispatch zeroes before execution: the
+     * overwrite contract of ops whose kernels accumulate into, or
+     * only partly write, their output (hyb, BSR).
+     */
+    const char *zeroed = nullptr;
+    /**
+     * Kernels feed each other (a graph's per-node chain): one run per
+     * kernel in dataflow order, since the task graph lets kernels
+     * share outputs only through accumulation.
+     */
+    bool chain = false;
+};
+
+namespace {
+
+/**
+ * Spec of a one-kernel op: `lower` produces the Stage III kernel on a
+ * miss (after validating what it must). `shape` is borrowed and must
+ * outlive the dispatch.
+ */
+DispatchSpec
+kernelSpec(OpKind op, const CacheKey &key, const KernelShape &shape,
+           std::function<ir::PrimFunc()> lower, const char *what)
+{
+    DispatchSpec spec;
+    spec.op = op;
+    spec.key = key;
+    spec.build = [&shape, lower = std::move(lower),
+                  what](bool bytecode, bool verify) {
+        return buildKernelArtifact(lower(), shape, what, bytecode,
+                                   verify);
+    };
+    spec.bind = [&shape](Artifact &base_artifact, BindingSet *bindings,
+                         ScratchLeaseGuard *) {
+        auto &artifact = static_cast<KernelArtifact &>(base_artifact);
+        for (const auto &[name, value] : shape.scalars) {
+            bindings->scalar(name, value);
+        }
+        bindings->external(shape.indptrName, &artifact.indptr);
+        bindings->external(shape.indicesName, &artifact.indices);
+        bindings->own("A_data", NDArray::fromFloat(shape.values));
+        return std::vector<const CompiledKernel *>{&artifact.kernel};
+    };
+    return spec;
 }
 
 } // namespace
@@ -932,34 +909,7 @@ Engine::execOptions() const
     exec.parallel = options_.parallel;
     exec.minBlocksPerChunk = options_.minBlocksPerChunk;
     exec.backend = options_.backend;
-    exec.fusedDispatch = options_.fusedDispatch;
     return exec;
-}
-
-void
-Engine::runMultiKernel(
-    const std::vector<const CompiledKernel *> &kernels,
-    const runtime::Bindings &bindings)
-{
-    ExecOptions exec = execOptions();
-    if (exec.fusedDispatch) {
-        executor_.runKernelsFused(kernels, bindings, exec);
-    } else {
-        executor_.runKernels(kernels, bindings, exec);
-    }
-}
-
-void
-Engine::runMultiKernelBatch(
-    const std::vector<const CompiledKernel *> &kernels,
-    const std::vector<runtime::Bindings> &requests)
-{
-    ExecOptions exec = execOptions();
-    if (exec.fusedDispatch) {
-        executor_.runKernelsFused(kernels, requests, exec);
-    } else {
-        executor_.runKernelsBatch(kernels, requests, exec);
-    }
 }
 
 std::shared_ptr<Artifact>
@@ -1079,39 +1029,23 @@ Engine::nativeStats() const
 }
 
 void
-Engine::finishDispatch(const DispatchInfo &info, OpKind op)
+Engine::account(const BatchDispatchInfo &info, OpKind op)
 {
-    requests_->add(1);
-    (info.cacheHit ? cacheHits_ : cacheMisses_)->add(1);
+    auto requests = static_cast<uint64_t>(info.numRequests);
+    requests_->add(requests);
+    // One resolve serves the whole batch: on a miss exactly one
+    // request paid the compile, the rest rode the fresh artifact.
+    cacheHits_->add(info.cacheHit ? requests : requests - 1);
+    if (!info.cacheHit) {
+        cacheMisses_->add(1);
+    }
     compileMs_->record(info.compileMs);
     execMs_->record(info.execMs);
-    // prepareSpmmHyb finishes with no kernels executed; keep its
-    // zero-latency "dispatch" out of the latency distributions.
+    // prepareSpmmHyb accounts a resolve with no kernels executed;
+    // keep its zero-latency "dispatch" out of the distributions.
     if (info.numKernels > 0) {
-        opLatency(op, info.cacheHit)->record(info.execMs);
-    }
-}
-
-void
-Engine::finishBatch(const BatchDispatchInfo &info, OpKind op)
-{
-    requests_->add(static_cast<uint64_t>(info.numRequests));
-    if (info.numRequests > 0) {
-        // One resolve serves the whole batch: on a miss exactly one
-        // request paid the compile, the rest rode the fresh artifact.
-        cacheHits_->add(static_cast<uint64_t>(
-            info.cacheHit ? info.numRequests : info.numRequests - 1));
-        if (!info.cacheHit) {
-            cacheMisses_->add(1);
-        }
-    }
-    compileMs_->record(info.compileMs);
-    execMs_->record(info.execMs);
-    if (info.numRequests > 0 && info.numKernels > 0) {
-        double per_request =
-            info.execMs / static_cast<double>(info.numRequests);
-        observe::LatencyHistogram *hist =
-            opLatency(op, info.cacheHit);
+        double per_request = info.execMs / info.numRequests;
+        observe::LatencyHistogram *hist = opLatency(op, info.cacheHit);
         for (int i = 0; i < info.numRequests; ++i) {
             hist->record(per_request);
         }
@@ -1130,85 +1064,278 @@ Engine::stats() const
     return stats;
 }
 
+BatchDispatchInfo
+Engine::dispatch(const DispatchSpec &spec,
+                 const std::vector<RequestArrays> &requests)
+{
+    SPARSETIR_TRACE_SCOPE1("engine", "engine.dispatch", "op",
+                           static_cast<int64_t>(spec.op));
+    BatchDispatchInfo info;
+    info.numRequests = static_cast<int>(requests.size());
+    if (requests.empty()) {
+        return info;
+    }
+    std::shared_ptr<Artifact> artifact = spec.prepared;
+    if (artifact != nullptr) {
+        info.cacheHit = true;
+    } else {
+        artifact = resolve(spec.key,
+                           [&] {
+                               return spec.build(
+                                   usesBytecode(),
+                                   options_.verifyArtifacts);
+                           },
+                           &info);
+    }
+
+    auto bind_start = std::chrono::steady_clock::now();
+    BindingSet base;
+    ScratchLeaseGuard leased(&executor_);
+    std::vector<const CompiledKernel *> kernels =
+        spec.bind(*artifact, &base, &leased);
+    std::vector<runtime::Bindings> copies;
+    std::vector<const runtime::Bindings *> views;
+    if (requests.size() == 1 && spec.preparedBase == nullptr) {
+        // A batch of one binds into the base itself: no copy of the
+        // shared maps on the single-request hot path.
+        for (const auto &[name, array] : requests[0]) {
+            base.external(name, array);
+        }
+        views.push_back(&base.view());
+    } else {
+        const runtime::Bindings &shared = spec.preparedBase != nullptr
+                                              ? *spec.preparedBase
+                                              : base.view();
+        copies.reserve(requests.size());
+        for (const RequestArrays &request : requests) {
+            copies.push_back(shared);
+            for (const auto &[name, array] : request) {
+                copies.back().arrays[name] = array;
+            }
+            views.push_back(&copies.back());
+        }
+    }
+    // Every request is validated and bound: only now touch outputs.
+    if (spec.zeroed != nullptr) {
+        for (const RequestArrays &request : requests) {
+            for (const auto &[name, array] : request) {
+                if (name == spec.zeroed) {
+                    array->zero();
+                }
+            }
+        }
+    }
+    info.bindMs = msSince(bind_start);
+
+    auto kernel_start = std::chrono::steady_clock::now();
+    {
+        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
+        ExecOptions exec = execOptions();
+        if (spec.chain) {
+            for (const CompiledKernel *kernel : kernels) {
+                executor_.run({kernel}, views, exec);
+            }
+        } else {
+            executor_.run(kernels, views, exec);
+        }
+    }
+    leased.releaseAll();
+    info.kernelMs = msSince(kernel_start);
+    info.execMs = info.bindMs + info.kernelMs;
+    info.numKernels = static_cast<int>(kernels.size());
+    account(info, spec.op);
+    return info;
+}
+
+// ---------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------
+
 DispatchInfo
 Engine::spmmCsr(const Csr &a, int64_t feat, NDArray *b, NDArray *c,
                 const core::SpmmSchedule &schedule)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_csr");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmCsrArtifact>(
-        resolve(spmmCsrKey(a, feat, schedule),
-                [&] {
-                    return buildSpmmCsrArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindings.scalar("m", a.rows);
-    bindings.scalar("n", a.cols);
-    bindings.scalar("nnz", a.nnz());
-    bindings.scalar("feat_size", feat);
-    bindings.external("J_indptr", &artifact->indptr);
-    bindings.external("J_indices", &artifact->indices);
-    bindings.own("A_data", NDArray::fromFloat(a.values));
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmCsr);
-    return info;
+    return spmmCsrBatch(a, feat, {SpmmRequest{b, c}}, schedule);
 }
 
 DispatchInfo
 Engine::spmmHyb(const Csr &a, int64_t feat, NDArray *b, NDArray *c,
                 const HybConfig &config)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
-        resolve(spmmHybKey(a, feat, config),
-                [&] {
-                    return buildSpmmHybArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
+    return spmmHybBatch(a, feat, {SpmmRequest{b, c}}, config);
+}
 
-    auto bind_start = std::chrono::steady_clock::now();
+DispatchInfo
+Engine::spmmBsr(const format::Bsr &a, int64_t feat, NDArray *b,
+                NDArray *c, const BsrConfig &config)
+{
+    return spmmBsrBatch(a, feat, {SpmmRequest{b, c}}, config);
+}
+
+DispatchInfo
+Engine::spmmSrbcrs(const format::SrBcrs &a, int64_t feat, NDArray *b,
+                   NDArray *c)
+{
+    return spmmSrbcrsBatch(a, feat, {SpmmRequest{b, c}});
+}
+
+BatchDispatchInfo
+Engine::spmmCsrBatch(const Csr &a, int64_t feat,
+                     const std::vector<SpmmRequest> &requests,
+                     const core::SpmmSchedule &schedule)
+{
+    checkValues(a);
+    KernelShape shape = csrShape(a, feat);
+    return dispatch(kernelSpec(OpKind::kSpmmCsr,
+                               spmmCsrKey(a, feat, schedule), shape,
+                               [&] {
+                                   format::checkCsr(a);
+                                   return core::compileSpmmCsrFunc(
+                                       feat, schedule);
+                               },
+                               "spmm_csr"),
+                    spmmRequests(requests));
+}
+
+BatchDispatchInfo
+Engine::spmmHybBatch(const Csr &a, int64_t feat,
+                     const std::vector<SpmmRequest> &requests,
+                     const HybConfig &config)
+{
+    checkValues(a);
+    DispatchSpec spec;
+    spec.op = OpKind::kSpmmHyb;
+    spec.key = spmmHybKey(a, feat, config);
+    spec.build = [&](bool bytecode, bool verify) {
+        return buildSpmmHybArtifact(a, feat, config, bytecode, verify);
+    };
+    spec.bind = [&](Artifact &artifact, BindingSet *bindings,
+                    ScratchLeaseGuard *) {
+        bindSpmmHyb(bindings, static_cast<EllArtifact &>(artifact), a,
+                    feat, /*for_simulation=*/false);
+        return unitKernels(artifact);
+    };
     // Bucket kernels accumulate partial sums; the dispatch owns the
-    // overwrite contract (C = A @ B), so clear the output here.
-    c->zero();
-    auto shared =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/false);
-    shared->external("B_data", b);
-    shared->external("C_data", c);
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
+    // overwrite contract (C = A @ B).
+    spec.zeroed = "C_data";
+    return dispatch(spec, spmmRequests(requests));
+}
+
+BatchDispatchInfo
+Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
+                     const std::vector<SpmmRequest> &requests)
+{
+    USER_CHECK(prepared.artifact != nullptr &&
+               prepared.bindings != nullptr)
+        << "batched dispatch needs a handle from prepareSpmmHyb";
+    // prepareSpmmHyb is the only producer of this handle type, so
+    // the artifact is a hyb artifact by construction.
+    DispatchSpec spec;
+    spec.op = OpKind::kSpmmHyb;
+    spec.prepared = prepared.artifact;
+    spec.preparedBase = &prepared.bindings->view();
+    spec.bind = [](Artifact &artifact, BindingSet *, ScratchLeaseGuard *) {
+        return unitKernels(artifact);
+    };
+    spec.zeroed = "C_data";
+    return dispatch(spec, spmmRequests(requests));
+}
+
+BatchDispatchInfo
+Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
+                     const std::vector<SpmmRequest> &requests,
+                     const BsrConfig &config)
+{
+    KernelShape shape = bsrShape(a, feat);
+    DispatchSpec spec = kernelSpec(
+        OpKind::kSpmmBsr, spmmBsrKey(a, feat, config), shape,
+        [&] {
+            return core::compileBsrSpmmFunc(a.blockSize, feat,
+                                            config.tensorCores);
+        },
+        "bsr_spmm");
+    // The kernel's init only zeroes block rows that hold a block; the
+    // dispatch owns the overwrite contract for the empty ones.
+    spec.zeroed = "C_data";
+    return dispatch(spec, spmmRequests(requests));
+}
+
+BatchDispatchInfo
+Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
+                        const std::vector<SpmmRequest> &requests)
+{
+    KernelShape shape = srbcrsShape(a, feat);
+    return dispatch(kernelSpec(OpKind::kSpmmSrbcrs,
+                               spmmSrbcrsKey(a, feat), shape,
+                               [&] {
+                                   return core::compileSrbcrsSpmmFunc(
+                                       a.tileHeight, a.groupSize, feat);
+                               },
+                               "srbcrs_spmm"),
+                    spmmRequests(requests));
+}
+
+DispatchInfo
+Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
+              NDArray *out, const core::SddmmSchedule &schedule)
+{
+    checkValues(a);
+    KernelShape shape = csrShape(a, feat);
+    return dispatch(kernelSpec(OpKind::kSddmm,
+                               sddmmKey(a, feat, schedule), shape,
+                               [&] {
+                                   format::checkCsr(a);
+                                   return core::compileSddmmFunc(
+                                       feat, schedule);
+                               },
+                               "sddmm"),
+                    {{{"X_data", x}, {"Y_data", y}, {"B_data", out}}});
+}
+
+DispatchInfo
+Engine::rgcn(const format::RelationalCsr &graph, int64_t feat,
+             NDArray *x, NDArray *w, NDArray *y,
+             const RgcnConfig &config)
+{
+    return rgcn(graph, feat, feat, x, w, y, config);
+}
+
+DispatchInfo
+Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
+             int64_t featOut, NDArray *x, NDArray *w, NDArray *y,
+             const RgcnConfig &config)
+{
+    for (const Csr &relation : graph.relations) {
+        checkValues(relation);
     }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernel(kernels, shared->view());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishDispatch(info, OpKind::kSpmmHyb);
-    return info;
+    DispatchSpec spec;
+    spec.op = OpKind::kRgcnHyb;
+    spec.key = rgcnKey(graph, featIn, featOut, config);
+    spec.build = [&](bool bytecode, bool verify) {
+        return buildRgcnArtifact(graph, featIn, featOut, config,
+                                 bytecode, verify);
+    };
+    spec.bind = [&](Artifact &base_artifact, BindingSet *bindings,
+                    ScratchLeaseGuard *) {
+        auto &artifact = static_cast<EllArtifact &>(base_artifact);
+        bindings->scalar("m", graph.rows);
+        bindings->scalar("n", graph.cols);
+        bindings->scalar("feat_in", featIn);
+        bindings->scalar("feat_out", featOut);
+        for (EllUnit &unit : artifact.units) {
+            bindings->external(core::ellRowIndicesParam(unit.suffix),
+                               &unit.rowIndices);
+            bindings->external(core::ellColIndicesParam(unit.suffix),
+                               &unit.colIndices);
+            bindings->own(core::rgmsValuesParam(unit.suffix),
+                          NDArray::fromFloat(gatherValues(
+                              unit.gather,
+                              graph.relations[unit.relation].values)));
+        }
+        return unitKernels(artifact);
+    };
+    return dispatch(spec,
+                    {{{"X_data", x}, {"W_data", w}, {"Y_data", y}}});
 }
 
 DispatchInfo
@@ -1216,18 +1343,6 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                       const std::map<std::string, NDArray *> &io,
                       const GraphDispatchOptions &options)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.graph");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<GraphArtifact>(
-        resolve(graphKey(graph, options.fuse),
-                [&] {
-                    return buildGraphArtifact(
-                        graph, options.fuse, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
     // Every named value (graph input or marked output) needs an array
     // of the exact element count; unknown names are request bugs.
     size_t named = 0;
@@ -1251,451 +1366,34 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
         << "graph dispatch got " << io.size() << " arrays for "
         << named << " named values — unknown names in the io map";
 
-    BindingSet bindings;
-    for (auto &kv : artifact->structures) {
-        bindings.external(kv.first, &kv.second);
-    }
-    for (const auto &kv : io) {
-        bindings.external(kv.first, kv.second);
-    }
-    // Chain mode materializes interior tensors in pooled scratch; the
-    // fused kernel has none (per-row locals), so its dispatch leases
-    // nothing and the scratch peak stays at zero. No zeroing needed:
-    // every element a chain kernel reads was written by its producer.
-    ScratchLeaseGuard leased(&executor_);
-    for (const GraphTemp &temp : artifact->temps) {
-        ScratchPool::Lease lease = executor_.leaseScratch(
-            temp.numel, ir::DataType::float32());
-        leased.add(lease.array);
-        bindings.external(temp.name, lease.array);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        // Chain kernels run in dataflow order, each internally
-        // parallel over rows — the barriered oracle the fused program
-        // is bitwise-checked against.
-        for (const CompiledKernel &kernel : artifact->kernels) {
-            executor_.runKernel(kernel, bindings.view(),
-                                execOptions());
+    DispatchSpec spec;
+    spec.op = OpKind::kGraph;
+    spec.key = graphKey(graph, options.fuse);
+    spec.build = [&](bool bytecode, bool verify) {
+        return buildGraphArtifact(graph, options.fuse, bytecode, verify);
+    };
+    spec.bind = [](Artifact &base_artifact, BindingSet *bindings,
+                   ScratchLeaseGuard *leased) {
+        auto &artifact = static_cast<GraphArtifact &>(base_artifact);
+        for (auto &kv : artifact.structures) {
+            bindings->external(kv.first, &kv.second);
         }
-    }
-    leased.releaseAll();
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(artifact->kernels.size());
-    finishDispatch(info, OpKind::kGraph);
-    return info;
-}
-
-DispatchInfo
-Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
-              NDArray *out, const core::SddmmSchedule &schedule)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.sddmm");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SddmmArtifact>(
-        resolve(sddmmKey(a, feat, schedule),
-                [&] {
-                    return buildSddmmArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindings.scalar("m", a.rows);
-    bindings.scalar("n", a.cols);
-    bindings.scalar("nnz", a.nnz());
-    bindings.scalar("feat_size", feat);
-    bindings.external("J_indptr", &artifact->indptr);
-    bindings.external("J_indices", &artifact->indices);
-    bindings.own("A_data", NDArray::fromFloat(a.values));
-    bindings.external("X_data", x);
-    bindings.external("Y_data", y);
-    bindings.external("B_data", out);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSddmm);
-    return info;
-}
-
-DispatchInfo
-Engine::rgcn(const format::RelationalCsr &graph, int64_t feat,
-             NDArray *x, NDArray *w, NDArray *y,
-             const RgcnConfig &config)
-{
-    return rgcn(graph, feat, feat, x, w, y, config);
-}
-
-DispatchInfo
-Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
-             int64_t featOut, NDArray *x, NDArray *w, NDArray *y,
-             const RgcnConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.rgcn_hyb");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<RgcnArtifact>(
-        resolve(rgcnKey(graph, featIn, featOut, config),
-                [&] {
-                    return buildRgcnArtifact(
-                        graph, featIn, featOut, config,
-                        usesBytecode(), options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindings.scalar("m", graph.rows);
-    bindings.scalar("n", graph.cols);
-    bindings.scalar("feat_in", featIn);
-    bindings.scalar("feat_out", featOut);
-    bindings.external("X_data", x);
-    bindings.external("W_data", w);
-    bindings.external("Y_data", y);
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->units.size());
-    for (RgcnUnit &unit : artifact->units) {
-        bindings.external(core::ellRowIndicesParam(unit.suffix),
-                          &unit.rowIndices);
-        bindings.external(core::ellColIndicesParam(unit.suffix),
-                          &unit.colIndices);
-        bindings.own(core::rgmsValuesParam(unit.suffix),
-                     NDArray::fromFloat(gatherValues(
-                         unit.gather,
-                         graph.relations[unit.relation].values)));
-        kernels.push_back(&unit.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernel(kernels, bindings.view());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishDispatch(info, OpKind::kRgcnHyb);
-    return info;
-}
-
-DispatchInfo
-Engine::spmmBsr(const format::Bsr &a, int64_t feat, NDArray *b,
-                NDArray *c, const BsrConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_bsr");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<BsrArtifact>(
-        resolve(spmmBsrKey(a, feat, config),
-                [&] {
-                    return buildBsrArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    // The kernel's init only zeroes block rows that hold a block; the
-    // dispatch owns the overwrite contract for the empty ones.
-    c->zero();
-    BindingSet bindings;
-    bindBsrShared(&bindings, *artifact, a, feat);
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmBsr);
-    return info;
-}
-
-DispatchInfo
-Engine::spmmSrbcrs(const format::SrBcrs &a, int64_t feat, NDArray *b,
-                   NDArray *c)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_srbcrs");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SrbcrsArtifact>(
-        resolve(spmmSrbcrsKey(a, feat),
-                [&] {
-                    return buildSrbcrsArtifact(
-                        a, feat, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindSrbcrsShared(&bindings, *artifact, a, feat);
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmSrbcrs);
-    return info;
-}
-
-// ---------------------------------------------------------------------
-// Batched dispatch
-// ---------------------------------------------------------------------
-
-BatchDispatchInfo
-Engine::spmmCsrBatch(const Csr &a, int64_t feat,
-                     const std::vector<SpmmRequest> &requests,
-                     const core::SpmmSchedule &schedule)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_csr_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
-    if (requests.empty()) {
-        return info;
-    }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SpmmCsrArtifact>(
-        resolve(spmmCsrKey(a, feat, schedule),
-                [&] {
-                    return buildSpmmCsrArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet base;
-    base.scalar("m", a.rows);
-    base.scalar("n", a.cols);
-    base.scalar("nnz", a.nnz());
-    base.scalar("feat_size", feat);
-    base.external("J_indptr", &artifact->indptr);
-    base.external("J_indices", &artifact->indices);
-    base.own("A_data", NDArray::fromFloat(a.values));
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmCsr);
-    return info;
-}
-
-BatchDispatchInfo
-Engine::spmmHybBatch(const Csr &a, int64_t feat,
-                     const std::vector<SpmmRequest> &requests,
-                     const HybConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
-    if (requests.empty()) {
-        return info;
-    }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
-        resolve(spmmHybKey(a, feat, config),
-                [&] {
-                    return buildSpmmHybArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    auto shared =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/false);
-    // Validate the whole batch (requestViews throws on aliasing)
-    // BEFORE mutating any caller array; only then apply the
-    // per-request overwrite contract, exactly like the serial
-    // spmmHyb (bucket kernels accumulate).
-    std::vector<runtime::Bindings> views =
-        requestViews(shared->view(), requests);
-    for (const SpmmRequest &request : requests) {
-        request.c->zero();
-    }
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernelBatch(kernels, views);
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishBatch(info, OpKind::kSpmmHyb);
-    return info;
-}
-
-BatchDispatchInfo
-Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
-                     const std::vector<SpmmRequest> &requests)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
-    if (requests.empty()) {
-        return info;
-    }
-    USER_CHECK(prepared.artifact != nullptr &&
-               prepared.bindings != nullptr)
-        << "batched dispatch needs a handle from prepareSpmmHyb";
-    // prepareSpmmHyb is the only producer of this handle type, so
-    // the artifact is a hyb artifact by construction.
-    auto artifact =
-        std::static_pointer_cast<SpmmHybArtifact>(prepared.artifact);
-    info.cacheHit = true;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    // Validate before zeroing: a rejected batch must leave every
-    // caller array untouched.
-    std::vector<runtime::Bindings> views =
-        requestViews(prepared.bindings->view(), requests);
-    for (const SpmmRequest &request : requests) {
-        request.c->zero();
-    }
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernelBatch(kernels, views);
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishBatch(info, OpKind::kSpmmHyb);
-    return info;
-}
-
-BatchDispatchInfo
-Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
-                     const std::vector<SpmmRequest> &requests,
-                     const BsrConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_bsr_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
-    if (requests.empty()) {
-        return info;
-    }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<BsrArtifact>(
-        resolve(spmmBsrKey(a, feat, config),
-                [&] {
-                    return buildBsrArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet base;
-    bindBsrShared(&base, *artifact, a, feat);
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    // After validation, like spmmHybBatch: the kernel never writes
-    // empty block rows, so the dispatch owns the overwrite contract.
-    for (const SpmmRequest &request : requests) {
-        request.c->zero();
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmBsr);
-    return info;
-}
-
-BatchDispatchInfo
-Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
-                        const std::vector<SpmmRequest> &requests)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_srbcrs_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
-    if (requests.empty()) {
-        return info;
-    }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SrbcrsArtifact>(
-        resolve(spmmSrbcrsKey(a, feat),
-                [&] {
-                    return buildSrbcrsArtifact(
-                        a, feat, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet base;
-    bindSrbcrsShared(&base, *artifact, a, feat);
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmSrbcrs);
-    return info;
+        // Chain mode materializes interior tensors in pooled scratch;
+        // the fused kernel has none (per-row locals), so its dispatch
+        // leases nothing and the scratch peak stays at zero. No
+        // zeroing needed: every element a chain kernel reads was
+        // written by its producer.
+        for (const GraphTemp &temp : artifact.temps) {
+            bindings->external(temp.name, leased->lease(temp.numel));
+        }
+        std::vector<const CompiledKernel *> kernels;
+        for (const CompiledKernel &kernel : artifact.kernels) {
+            kernels.push_back(&kernel);
+        }
+        return kernels;
+    };
+    spec.chain = true;
+    return dispatch(spec, {RequestArrays(io.begin(), io.end())});
 }
 
 PreparedSpmmHyb
@@ -1703,8 +1401,10 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
                        const HybConfig &config)
 {
     SPARSETIR_TRACE_SCOPE("engine", "dispatch.prepare_spmm_hyb");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
+    checkValues(a);
+    BatchDispatchInfo info;
+    info.numRequests = 1;
+    auto artifact = std::static_pointer_cast<EllArtifact>(
         resolve(spmmHybKey(a, feat, config),
                 [&] {
                     return buildSpmmHybArtifact(
@@ -1712,15 +1412,16 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
                         options_.verifyArtifacts);
                 },
                 &info));
-    finishDispatch(info, OpKind::kSpmmHyb);
+    account(info, OpKind::kSpmmHyb);
 
     PreparedSpmmHyb prepared;
     prepared.cacheHit = info.cacheHit;
     prepared.bucketCapLog2 = artifact->bucketCapLog2;
     prepared.artifact = artifact;
-    prepared.bindings =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/true);
-    for (const HybBucketData &bucket : artifact->buckets) {
+    prepared.bindings = std::make_shared<BindingSet>();
+    bindSpmmHyb(prepared.bindings.get(), *artifact, a, feat,
+                /*for_simulation=*/true);
+    for (const EllUnit &bucket : artifact->units) {
         prepared.kernels.push_back(std::make_shared<core::BoundKernel>(
             bucket.kernel.func, prepared.bindings));
     }

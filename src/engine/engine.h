@@ -4,23 +4,34 @@
  *
  * A session owns a CompileCache, a ThreadPool and a ParallelExecutor
  * and exposes one-call operator dispatch (spmmCsr / spmmHyb / sddmm /
- * rgcn / spmmBsr / spmmSrbcrs). Each dispatch fingerprints the
- * request (operator, sparsity structure, schedule parameters, feature
- * dims, artifact version), reuses the compiled kernel artifact on a
- * hit — skipping Stage I -> III lowering, bytecode compilation and
- * re-bucketing entirely — binds the request's values (via the
- * formats' provenance maps) and executes with deterministic
- * parallelism (see executor.h). Cached artifacts carry
- * engine::CompiledKernel units: Stage III IR plus the
+ * rgcn / spmmBsr / spmmSrbcrs / dispatchGraph). Each dispatch
+ * fingerprints the request (operator, sparsity structure, schedule
+ * parameters, feature dims, artifact version), reuses the compiled
+ * kernel artifact on a hit — skipping Stage I -> III lowering,
+ * bytecode compilation and re-bucketing entirely — binds the
+ * request's values (via the formats' provenance maps) and executes
+ * with deterministic parallelism (see executor.h). Cached artifacts
+ * carry engine::CompiledKernel units: Stage III IR plus the
  * register-bytecode program the VM executes on warm dispatches, plus
  * the spilled block-extent expression that sizes the launch grid
  * without an interpreter probe.
  *
- * Batched dispatch (`spmm*Batch`) is the multi-tenant serving shape:
- * N in-flight requests against one sparsity structure resolve ONE
- * cached artifact, get private per-request bindings, and are striped
- * across the pool as (request x grid-chunk / kernel) units — each
- * request's output bitwise identical to its own serial dispatch.
+ * Every entry point runs one dispatch skeleton: resolve the artifact,
+ * bind the shared base (scalars, structure arrays, gathered values),
+ * give each request its view of the base, execute through
+ * ParallelExecutor::run, account. A single request is a batch of one
+ * (its arrays bind into the base itself; nothing is copied), so the
+ * single-request SpMM entry points are shims over their `spmm*Batch`
+ * twins. Batched dispatch is the multi-tenant serving shape: N
+ * in-flight requests against one sparsity structure resolve ONE
+ * cached artifact and run as one task graph of (request x kernel x
+ * grid-chunk) units — each request's output bitwise identical to its
+ * own serial dispatch.
+ *
+ * CSR operands are untrusted: the miss path validates each new
+ * structure once (format::checkCsr) and every dispatch checks the
+ * values length, so a malformed operand raises UserError before any
+ * output is written.
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every
@@ -38,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -87,12 +99,9 @@ struct EngineOptions
      */
     int nativePromoteAfter = 3;
     /**
-     * Launch multi-kernel dispatches (hyb buckets, RGCN units) and
-     * batched requests as ONE fused task graph instead of the
-     * barriered per-bucket schedule. Results are bitwise identical
-     * either way (the fused fold replays the serial addition order
-     * per element; see executor.h); the barriered path stays
-     * available as the differential oracle.
+     * No effect. Every parallel dispatch runs as one task graph (see
+     * executor.h); the field remains only so existing option-setting
+     * code compiles, and goes away with its last user.
      */
     bool fusedDispatch = true;
     /**
@@ -136,30 +145,21 @@ struct DispatchInfo
     double kernelMs = 0.0;
     /** bindMs + kernelMs. */
     double execMs = 0.0;
+    /** Kernels executed per request. */
     int numKernels = 0;
 
     /** The serving-path overhead the compile cache eliminates. */
     double dispatchOverheadMs() const { return compileMs + bindMs; }
 };
 
-/** Outcome of one batched dispatch (N requests, one artifact). */
-struct BatchDispatchInfo
+/**
+ * Outcome of one batched dispatch (N requests, one artifact): at most
+ * ONE compile per batch; bindMs covers the shared base plus every
+ * request's view, kernelMs the whole batch's execution.
+ */
+struct BatchDispatchInfo : DispatchInfo
 {
-    /** Whether the single artifact resolve was served from cache. */
-    bool cacheHit = false;
-    /** Artifact resolve time — at most ONE compile per batch. */
-    double compileMs = 0.0;
-    /** Building the shared base + per-request binding views. */
-    double bindMs = 0.0;
-    /** Executing the striped (request x unit) work on the pool. */
-    double kernelMs = 0.0;
-    /** bindMs + kernelMs. */
-    double execMs = 0.0;
     int numRequests = 0;
-    /** Kernels executed per request. */
-    int numKernels = 0;
-
-    double dispatchOverheadMs() const { return compileMs + bindMs; }
 };
 
 /**
@@ -266,6 +266,13 @@ struct PreparedSpmmHyb
     std::shared_ptr<Artifact> artifact;
 };
 
+/** One op's share of a dispatch (Engine internals, see engine.cc). */
+struct DispatchSpec;
+
+/** One request's own arrays, bound by parameter name. */
+using RequestArrays =
+    std::vector<std::pair<std::string, runtime::NDArray *>>;
+
 class Engine
 {
   public:
@@ -361,10 +368,13 @@ class Engine
     // -----------------------------------------------------------------
     // Batched dispatch: one artifact, many feature matrices in flight.
     // Each batch performs at most ONE compile (cache resolve), builds
-    // a private binding view per request, and stripes the cross
-    // product of (requests x grid chunks / kernels) across the pool.
-    // Every request's output is bitwise identical to dispatching it
-    // alone through the corresponding serial entry point.
+    // a private binding view per request, and runs the cross product
+    // of (requests x kernels x grid chunks) as one task graph. Every
+    // request's output is bitwise identical to dispatching it alone
+    // through the corresponding single-request entry point. Requests
+    // are rejected (UserError, nothing written) when an array is
+    // missing, two requests share an output, or an output aliases
+    // any request's input.
     // -----------------------------------------------------------------
 
     BatchDispatchInfo
@@ -434,40 +444,34 @@ class Engine
     int numThreads() const { return pool_->size(); }
 
   private:
+    /**
+     * The dispatch skeleton every entry point runs: resolve the
+     * artifact, bind the shared base, give each request its view (a
+     * batch of one binds into the base itself, no copy), zero the
+     * op's accumulated outputs, execute, account.
+     */
+    BatchDispatchInfo
+    dispatch(const DispatchSpec &spec,
+             const std::vector<RequestArrays> &requests);
+
     std::shared_ptr<Artifact>
     resolve(const CacheKey &key,
             const std::function<std::shared_ptr<Artifact>()> &builder,
             DispatchInfo *info);
 
-    void finishDispatch(const DispatchInfo &info, OpKind op);
-
     /**
-     * Account a batch: numRequests logical requests, at most one of
-     * which paid the (single) compile; the rest count as hits on the
-     * artifact it produced. The per-op latency histogram records the
-     * batch's per-request exec latency (execMs / numRequests), once
-     * per request.
+     * Account a dispatch: numRequests logical requests, at most one
+     * of which paid the (single) compile; the rest count as hits on
+     * the artifact it produced. The per-op latency histogram records
+     * the per-request exec latency (execMs / numRequests), once per
+     * request — unless no kernel ran (prepareSpmmHyb).
      */
-    void finishBatch(const BatchDispatchInfo &info, OpKind op);
+    void account(const BatchDispatchInfo &info, OpKind op);
 
     /** Warm/cold dispatch-latency histogram of one op kind. */
     observe::LatencyHistogram *opLatency(OpKind op, bool warm);
 
     ExecOptions execOptions() const;
-
-    /**
-     * Execute a multi-kernel dispatch (hyb buckets, RGCN units) on
-     * the session's configured schedule: the fused task graph when
-     * EngineOptions::fusedDispatch is set, the barriered
-     * runKernels/runKernelsBatch oracle otherwise. Bitwise-identical
-     * results either way.
-     */
-    void runMultiKernel(
-        const std::vector<const CompiledKernel *> &kernels,
-        const runtime::Bindings &bindings);
-    void runMultiKernelBatch(
-        const std::vector<const CompiledKernel *> &kernels,
-        const std::vector<runtime::Bindings> &requests);
 
     /** Whether artifacts should carry compiled bytecode programs
      *  (the native tier serves on bytecode until promoted). */

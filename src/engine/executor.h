@@ -2,37 +2,35 @@
  * @file
  * Deterministic parallel execution of lowered kernels on the host
  * backends (bytecode VM by default, tree-walking interpreter as the
- * reference oracle).
+ * reference oracle, native C when promoted).
  *
- * Two axes of parallelism, both preserving the serial interpreter's
+ * ParallelExecutor::run is the one execution entry point: N kernels x
+ * M requests, each request under its own bindings. Serial sessions
+ * (parallel off, or one worker) run every request's kernels in list
+ * order — the oracle every parallel schedule is bitwise-checked
+ * against. Otherwise the dispatch is planned as ONE task graph (see
+ * TaskGraph) and executed on one work pool, preserving the serial
  * results exactly (bitwise, up to IEEE signed-zero identity):
  *
- *  - runKernel: one kernel's outermost blockIdx.x loop is split into
- *    contiguous chunks executed on worker threads — one VM instance
- *    per block window over the kernel's shared Program. Plain
- *    (overwrite) stores to bound buffers are per-block disjoint by
- *    the lowering contract, so chunks write shared storage directly.
- *    Read-modify-write outputs (cache_write accumulate, rfactor
- *    write-back, atomic_add) are privatized: each chunk accumulates
- *    into a private zero copy, and the privates are folded into the
- *    shared buffer in chunk order. Per output element the sequence of
- *    additions is exactly the serial one, so float results match the
- *    serial interpreter.
+ *  - Grid splitting: a kernel's outermost blockIdx.x loop is split
+ *    into contiguous chunks — one VM instance per block window over
+ *    the kernel's shared Program. A lone kernel under one request
+ *    gets min(workers, extent / minBlocksPerChunk) chunks; larger
+ *    graphs spread the workers across their (request, kernel) pairs.
+ *  - Kernel and request concurrency: independent kernels of one
+ *    request (hyb bucket kernels, RGCN per-relation-bucket kernels)
+ *    and distinct requests run concurrently. Non-accumulated writes
+ *    of kernels in one dispatch must target disjoint elements (true
+ *    for every kernel family the engine emits, which share outputs
+ *    only through accumulation); requests never share written
+ *    storage.
  *
- *  - runKernels: independent kernels of one request (hyb bucket
- *    kernels, RGCN per-relation-bucket kernels) run concurrently,
- *    with the same privatization applied per kernel and privates
- *    folded in kernel-list order. Non-accumulated writes of kernels
- *    in one batch must target disjoint elements (true for every
- *    kernel family the engine emits, which share outputs only
- *    through accumulation).
- *
- * A third axis composes with both: runKernelBatch / runKernelsBatch
- * execute one compiled artifact for MANY in-flight requests, each
- * request carrying its own bindings (its own feature/output arrays
- * over shared structure). Units from the cross product of (requests x
- * chunks-or-kernels) share the pool; requests never share written
- * storage, so the per-request guarantees above hold unchanged.
+ * Read-modify-write outputs (cache_write accumulate, rfactor
+ * write-back, atomic_add) are privatized: each unit accumulates into
+ * a private zero copy, and the privates are folded into the shared
+ * buffer per request in kernel list order (chunk order within a
+ * kernel). Per output element the sequence of additions is exactly
+ * the serial one, so float results match the serial interpreter.
  *
  * Privatization replays the serial addition order per element only
  * when each parallel unit performs at most ONE read-modify-write
@@ -43,8 +41,8 @@
  * (hyb's widest bucket when long rows were split into several ELL
  * rows) are therefore marked `exclusive` by the caller — the engine
  * derives the mask from format provenance (duplicate row indices) —
- * and runKernels executes them at their exact list position directly
- * on shared storage, parallelizing the kernels between them.
+ * and execute unsplit on shared storage at their exact list position
+ * in their request's fold chain.
  *
  * Privatization cost — scratch bytes AND zero/fold work — is bounded
  * by each kernel's write set, not the output size: a CompiledKernel's
@@ -72,7 +70,6 @@
 #ifndef SPARSETIR_ENGINE_EXECUTOR_H_
 #define SPARSETIR_ENGINE_EXECUTOR_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -107,15 +104,6 @@ struct ExecOptions
     bool parallel = true;
     /** Host backend kernels execute on. */
     runtime::Backend backend = runtime::Backend::kBytecode;
-    /**
-     * Route multi-kernel / multi-request dispatches through the fused
-     * task graph (runTaskGraph): one work pool over every (request,
-     * kernel, grid-chunk) unit with no barrier between kernels or
-     * requests. The engine entry points honor this; runKernels /
-     * runKernelsBatch themselves always run the barriered schedule
-     * and stay available as the differential oracle.
-     */
-    bool fusedDispatch = true;
 };
 
 /** Element range [begin, end) of a flat buffer. */
@@ -324,7 +312,7 @@ class ScratchPool
 };
 
 /**
- * Plan of one fused dispatch: the cross product of N kernels x M
+ * Plan of one parallel dispatch: the cross product of N kernels x M
  * requests flattened into ONE schedulable unit pool, plus the
  * per-request fold chains that keep the results bitwise identical to
  * serial dispatch.
@@ -357,8 +345,10 @@ struct TaskGraph
     /**
      * One link of a request's fold chain, in kernel list order:
      * either the in-order fold of a non-exclusive kernel's privatized
-     * chunk units, or the serial execution of an exclusive kernel on
-     * shared storage at its list position.
+     * chunk units, or the serial execution of a kernel on shared
+     * storage at its list position — an exclusive kernel, or the
+     * graph's only kernel when it gets a single chunk (nothing else
+     * writes that request's outputs).
      */
     struct ChainEntry
     {
@@ -390,128 +380,38 @@ class ParallelExecutor
     static std::vector<std::string>
     accumulatedParams(const ir::PrimFunc &func);
 
-    /** Execute one kernel, splitting its blockIdx range if profitable. */
-    void runKernel(const CompiledKernel &kernel,
-                   const runtime::Bindings &bindings,
-                   const ExecOptions &options = ExecOptions()) const;
-
     /**
-     * Execute a batch of kernels over shared bindings. Results are
+     * Execute `kernels` once per request, each request under its own
+     * bindings (borrowed, never copied). Per request the result is
      * bitwise identical to running the kernels serially in list
-     * order; exclusive kernels run serially at their list position.
+     * order — which is exactly what a serial session (`parallel`
+     * off, or one worker) does. Otherwise the dispatch runs as one
+     * task graph (buildTaskGraph): every compute unit is privatized
+     * up front, all units (plus one chain-kickoff task per request, so
+     * a chain headed by an exclusive kernel starts without waiting on
+     * any compute) are striped across the pool, and each request's
+     * fold chain advances as its kernels' units complete — no barrier
+     * between kernels or requests. Requests must bind disjoint output
+     * arrays (they may share read-only inputs), and kernels may share
+     * outputs only through accumulation.
      */
-    void runKernels(const std::vector<const CompiledKernel *> &kernels,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions()) const;
+    void run(const std::vector<const CompiledKernel *> &kernels,
+             const std::vector<const runtime::Bindings *> &requests,
+             const ExecOptions &options = ExecOptions()) const;
 
     /**
-     * Multi-request dispatch: execute ONE kernel once per request,
-     * each request under its own bindings. Work is striped across
-     * the cross product of (in-flight requests x grid-split chunks)
-     * on the pool; per request the result is bitwise identical to a
-     * serial run of the kernel under that request's bindings.
-     * Requests must bind disjoint output arrays (they may — and on
-     * the engine's batched path do — share read-only inputs).
-     */
-    void runKernelBatch(const CompiledKernel &kernel,
-                        const std::vector<runtime::Bindings> &requests,
-                        const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Multi-request, multi-kernel dispatch: for every request,
-     * execute all kernels as runKernels would under that request's
-     * bindings, striping (request, kernel) units across the pool.
-     * Exclusive kernels stay serial *within* their request but still
-     * run concurrently across requests, whose outputs are disjoint.
-     */
-    void
-    runKernelsBatch(const std::vector<const CompiledKernel *> &kernels,
-                    const std::vector<runtime::Bindings> &requests,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Plan a fused dispatch of `kernels` x `requests` (see TaskGraph):
-     * each non-exclusive (request, kernel) pair is split into at most
-     * ceil(workers / pairs) grid chunks — evaluated against that
-     * request's scalar bindings via the spilled block extent, never an
-     * interpreter probe — so the unit count stays near the worker
-     * count; once the cross product alone saturates the pool nothing
-     * is split. The graph borrows `kernels`; both it and `requests`
-     * must outlive every runTaskGraph call, which must receive the
-     * same requests and compatible options.
-     */
-    TaskGraph
-    buildTaskGraph(const std::vector<const CompiledKernel *> &kernels,
-                   const std::vector<runtime::Bindings> &requests,
-                   const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Pointer form of the fused entry points: requests are borrowed,
-     * not copied. This is the engine's single-request hot path —
-     * wrapping one Bindings in a value vector would deep-copy its
-     * maps on every warm dispatch.
+     * Plan run()'s parallel schedule of `kernels` x `requests` (see
+     * TaskGraph): each non-exclusive (request, kernel) pair is split
+     * into at most ceil(workers / pairs) grid chunks — evaluated
+     * against that request's scalar bindings via the spilled block
+     * extent, never an interpreter probe — so the unit count stays
+     * near the worker count; once the cross product alone saturates
+     * the pool nothing is split. The graph borrows `kernels`.
      */
     TaskGraph buildTaskGraph(
         const std::vector<const CompiledKernel *> &kernels,
         const std::vector<const runtime::Bindings *> &requests,
         const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Execute a fused dispatch plan as ONE work pool: every compute
-     * unit is privatized up front, all units (plus one chain-kickoff
-     * task per request, so a chain headed by an exclusive kernel
-     * starts without waiting on any compute) are striped across the
-     * pool, and each request's fold chain advances opportunistically
-     * as its kernels' units complete — no barrier between hyb buckets
-     * or between batch requests. Results are bitwise identical to
-     * serial dispatch and to the barriered runKernels/runKernelsBatch
-     * schedules (same per-element fold order; see TaskGraph).
-     * Requests must bind disjoint output arrays.
-     */
-    void runTaskGraph(const TaskGraph &graph,
-                      const std::vector<runtime::Bindings> &requests,
-                      const ExecOptions &options = ExecOptions()) const;
-
-    /** Pointer form (see the pointer buildTaskGraph overload). */
-    void runTaskGraph(
-        const TaskGraph &graph,
-        const std::vector<const runtime::Bindings *> &requests,
-        const ExecOptions &options = ExecOptions()) const;
-
-    /** buildTaskGraph + runTaskGraph in one call. */
-    void
-    runKernelsFused(const std::vector<const CompiledKernel *> &kernels,
-                    const std::vector<runtime::Bindings> &requests,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /** Single-request fused dispatch; `bindings` is borrowed. */
-    void
-    runKernelsFused(const std::vector<const CompiledKernel *> &kernels,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Convenience overload: compile-and-run one function. `accum`,
-     * when non-null, is the precomputed accumulatedParams() of
-     * `func`; null recomputes it on the fly.
-     */
-    void runKernel(const ir::PrimFunc &func,
-                   const runtime::Bindings &bindings,
-                   const ExecOptions &options = ExecOptions(),
-                   const std::vector<std::string> *accum = nullptr) const;
-
-    /**
-     * Convenience overload over raw functions. `exclusive`, when
-     * non-empty, must parallel `funcs`; `accums`, when non-null,
-     * must parallel `funcs` with precomputed accumulatedParams().
-     */
-    void runKernels(const std::vector<ir::PrimFunc> &funcs,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions(),
-                    const std::vector<uint8_t> &exclusive =
-                        std::vector<uint8_t>(),
-                    const std::vector<std::vector<std::string>>
-                        *accums = nullptr) const;
 
     /** Scratch accounting of this executor's privatization pool. */
     ScratchStats
@@ -563,13 +463,11 @@ class ParallelExecutor
         runtime::NDArray *array = nullptr;
     };
 
-    /**
-     * parallelFor over [0, n) honoring a per-call worker cap below
-     * the pool size by fanning out in waves of at most `workers`
-     * units. The single implementation behind every fan-out site.
-     */
-    void forCapped(int64_t n, int workers,
-                   const std::function<void(int64_t)> &fn) const;
+    /** Execute a planned graph on the pool (see run). */
+    void
+    runTaskGraph(const TaskGraph &graph,
+                 const std::vector<const runtime::Bindings *> &requests,
+                 const ExecOptions &options) const;
 
     /**
      * Swap each accumulated output for a zeroed scratch lease:

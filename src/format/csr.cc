@@ -99,6 +99,38 @@ csrValid(const Csr &m)
     return true;
 }
 
+void
+checkCsr(const Csr &m)
+{
+    USER_CHECK(m.rows >= 0 && m.cols >= 0)
+        << "malformed CSR: shape " << m.rows << " x " << m.cols
+        << " is negative";
+    USER_CHECK(static_cast<int64_t>(m.indptr.size()) == m.rows + 1)
+        << "malformed CSR: indptr has " << m.indptr.size()
+        << " entries, rows + 1 = " << m.rows + 1 << " expected";
+    USER_CHECK(m.indptr[0] == 0)
+        << "malformed CSR: indptr[0] = " << m.indptr[0]
+        << ", must be 0";
+    for (int64_t r = 0; r < m.rows; ++r) {
+        USER_CHECK(m.indptr[r] <= m.indptr[r + 1])
+            << "malformed CSR: indptr[" << r + 1 << "] = "
+            << m.indptr[r + 1] << " < indptr[" << r
+            << "] = " << m.indptr[r] << ", indptr must never decrease";
+    }
+    USER_CHECK(m.indptr[m.rows] == m.nnz())
+        << "malformed CSR: indptr[" << m.rows
+        << "] = " << m.indptr[m.rows] << ", must equal nnz = "
+        << m.nnz();
+    for (int64_t q = 0; q < m.nnz(); ++q) {
+        USER_CHECK(m.indices[q] >= 0 && m.indices[q] < m.cols)
+            << "malformed CSR: indices[" << q << "] = " << m.indices[q]
+            << " is outside [0, cols = " << m.cols << ")";
+    }
+    USER_CHECK(static_cast<int64_t>(m.values.size()) == m.nnz())
+        << "malformed CSR: values has " << m.values.size()
+        << " entries, must equal nnz = " << m.nnz();
+}
+
 float
 csrAt(const Csr &m, int64_t r, int64_t c)
 {

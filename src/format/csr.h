@@ -48,6 +48,15 @@ Csr csrTranspose(const Csr &m);
 /** Validate structural invariants (sorted indices, monotone indptr). */
 bool csrValid(const Csr &m);
 
+/**
+ * Check an untrusted CSR operand in O(nnz) before it reaches a
+ * kernel: indptr has rows + 1 entries, starts at 0, never decreases
+ * and ends at nnz; every index is in [0, cols); values has nnz
+ * entries. Throws UserError naming the array, the index and the rule.
+ * (Sortedness within a row is not required.)
+ */
+void checkCsr(const Csr &m);
+
 /** Value lookup at (r, c); zero when absent. */
 float csrAt(const Csr &m, int64_t r, int64_t c);
 

@@ -59,6 +59,10 @@ Hyb
 hybFromCsr(const Csr &m, int32_t c, int32_t k)
 {
     ICHECK_GT(c, 0);
+    // An out-of-range column would fall in no partition and vanish
+    // from the result; a short values array would be read past its
+    // end.
+    checkCsr(m);
     if (k < 0) {
         k = hybDefaultK(m);
     }

@@ -305,6 +305,29 @@ serialHybSpmm(const Csr &a, int64_t feat,
     return c;
 }
 
+/** Compile `funcs` for the executor; `exclusive` parallels them. */
+std::vector<engine::CompiledKernel>
+compileKernels(const std::vector<ir::PrimFunc> &funcs,
+               const std::vector<uint8_t> &exclusive = {})
+{
+    std::vector<engine::CompiledKernel> kernels;
+    for (size_t i = 0; i < funcs.size(); ++i) {
+        kernels.push_back(engine::compileKernel(funcs[i]));
+        kernels.back().exclusive = !exclusive.empty() && exclusive[i];
+    }
+    return kernels;
+}
+
+std::vector<const engine::CompiledKernel *>
+kernelPointers(const std::vector<engine::CompiledKernel> &kernels)
+{
+    std::vector<const engine::CompiledKernel *> pointers;
+    for (const engine::CompiledKernel &kernel : kernels) {
+        pointers.push_back(&kernel);
+    }
+    return pointers;
+}
+
 TEST(Engine, ParallelSpmmBitwiseMatchesSerial)
 {
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 13);
@@ -413,8 +436,8 @@ TEST(Engine, SddmmOverwritesDirtyOutputInParallel)
 
 TEST(Executor, WorkerCapWavesStayBitwiseExact)
 {
-    // ExecOptions.workers below the pool size takes the wave-capped
-    // fan-out path; results must still replay serial order exactly.
+    // ExecOptions.workers below the pool size caps the task graph's
+    // runners; results must still replay serial order exactly.
     Csr a = graph::powerLawGraph(250, 3000, 1.8, 27);
     int64_t feat = 8;
     auto b_host = randomVector(a.cols * feat, 28);
@@ -446,8 +469,9 @@ TEST(Executor, WorkerCapWavesStayBitwiseExact)
     (void)compiled;  // binds bucket arrays into `shared`
 
     engine::ExecOptions options;
-    options.workers = 2;  // below the 4-thread pool: wave path
-    executor.runKernels(funcs, shared->view(), options, exclusive);
+    options.workers = 2;  // below the 4-thread pool: capped runners
+    auto kernels = compileKernels(funcs, exclusive);
+    executor.run(kernelPointers(kernels), {&shared->view()}, options);
     EXPECT_TRUE(bitwiseEqual(serial, c));
 }
 
@@ -714,8 +738,9 @@ TEST(Executor, ThrowingKernelReleasesEveryLease)
         core::compileSpmmHyb(a, feat, 2, -1, shared);
     (void)compiled;  // binds bucket arrays into `shared`
 
-    EXPECT_THROW(executor.runKernels(funcs, shared->view(),
-                                     engine::ExecOptions()),
+    auto kernels = compileKernels(funcs);
+    EXPECT_THROW(executor.run(kernelPointers(kernels), {&shared->view()},
+                              engine::ExecOptions()),
                  InternalError);
     auto stats = executor.scratchStats();
     EXPECT_GT(stats.leases, 0u) << "dispatch never privatized";
@@ -758,14 +783,15 @@ TEST(Executor, PoisonedPoolScratchIsRezeroedOnLease)
         core::compileSpmmHyb(a, feat, 2, -1, shared);
     (void)compiled;
 
-    executor.runKernels(funcs, shared->view(), engine::ExecOptions(),
-                        exclusive);
+    auto kernels = compileKernels(funcs, exclusive);
+    executor.run(kernelPointers(kernels), {&shared->view()},
+                 engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(serial, c));
 
     c.zero();
     executor.poisonScratch(0xAB);
-    executor.runKernels(funcs, shared->view(), engine::ExecOptions(),
-                        exclusive);
+    executor.run(kernelPointers(kernels), {&shared->view()},
+                 engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(serial, c))
         << "a reused lease leaked poisoned pool contents";
 }
@@ -825,7 +851,7 @@ TEST(Executor, EmptyWriteSetLeavesOutputBitwiseUntouched)
     engine::ParallelExecutor executor(
         std::make_shared<engine::ThreadPool>(2));
     std::vector<const engine::CompiledKernel *> kernels = {&k1, &k2};
-    executor.runKernels(kernels, bindings, engine::ExecOptions());
+    executor.run(kernels, {&bindings}, engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(before, out))
         << "zero-touched-rows units disturbed the output";
     // Zero-extent leases contribute nothing to the high-water mark.

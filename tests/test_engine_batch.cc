@@ -4,13 +4,17 @@
  * points: VM-vs-interpreter bitwise equality for the new ops,
  * batched-vs-sequential bitwise equality per request, concurrent
  * batched dispatch through one shared session, single-compile
- * behavior of an N-request batch, and the warm path never probing
- * the launch grid through the interpreter.
+ * behavior of an N-request batch, the warm path never probing the
+ * launch grid through the interpreter, and untrusted inputs
+ * (malformed CSR operands, aliased or missing SpMM arrays) raising
+ * UserError on every tier before any output is written.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -700,6 +704,211 @@ TEST(EngineCacheKeyV5, FusedAndChainGraphArtifactsAreDistinct)
     eng.dispatchGraph(graph, {{"x", &x_arr}, {"out", &out}}, chain);
     EXPECT_EQ(eng.cacheStats().misses, 2u);
     EXPECT_EQ(eng.cacheStats().hits, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Untrusted inputs: UserError on every tier, output untouched
+// ---------------------------------------------------------------------
+
+/** Session per tier; native promotes inside the first resolve. */
+EngineOptions
+tierOptions(runtime::Backend backend)
+{
+    EngineOptions options;
+    options.backend = backend;
+    options.numThreads = 2;
+    options.nativePromoteAfter = 0;
+    if (backend == runtime::Backend::kNative) {
+        // Never load or leave .so files at a shared default path.
+        static const bool isolated = [] {
+            static char dir[] = "/tmp/sparsetir-inputs-native-XXXXXX";
+            if (::mkdtemp(dir) != nullptr) {
+                ::setenv("SPARSETIR_NATIVE_CACHE_DIR", dir, 1);
+            }
+            return true;
+        }();
+        (void)isolated;
+    }
+    return options;
+}
+
+constexpr runtime::Backend kTiers[] = {runtime::Backend::kInterpreter,
+                                       runtime::Backend::kBytecode,
+                                       runtime::Backend::kNative};
+
+/** Array of `numel` copies of a sentinel no kernel would produce. */
+NDArray
+sentinel(int64_t numel)
+{
+    return NDArray::fromFloat(std::vector<float>(numel, 7.25f));
+}
+
+/**
+ * A valid 4 x 5 CSR with rows of every kind (two entries, one,
+ * empty, three) and its four malformed variants.
+ */
+Csr
+validCsr()
+{
+    Csr a;
+    a.rows = 4;
+    a.cols = 5;
+    a.indptr = {0, 2, 3, 3, 6};
+    a.indices = {0, 4, 2, 1, 3, 4};
+    a.values = {1.0f, -2.0f, 0.5f, 3.0f, -1.5f, 2.5f};
+    return a;
+}
+
+std::vector<std::pair<std::string, Csr>>
+malformedVariants()
+{
+    std::vector<std::pair<std::string, Csr>> out;
+    Csr a = validCsr();
+    a.indices[1] = static_cast<int32_t>(a.cols);
+    out.emplace_back("column == cols", a);
+    a = validCsr();
+    a.indices[3] = -1;
+    out.emplace_back("column -1", a);
+    a = validCsr();
+    a.values.pop_back();
+    out.emplace_back("short values", a);
+    a = validCsr();
+    a.indptr = {0, 3, 2, 3, 6};
+    out.emplace_back("decreasing indptr", a);
+    return out;
+}
+
+TEST(EngineInputs, MalformedCsrRaisesUserErrorOnEveryTier)
+{
+    int64_t feat = 4;
+    for (runtime::Backend backend : kTiers) {
+        Engine eng(tierOptions(backend));
+        Csr good = validCsr();
+        format::RelationalCsr good_graph;
+        good_graph.rows = good.rows;
+        good_graph.cols = good.cols;
+        good_graph.relations = {good, good};
+        NDArray b = NDArray::fromFloat(randomVector(good.cols * feat, 3));
+        NDArray x = NDArray::fromFloat(randomVector(good.rows * feat, 4));
+        NDArray y = NDArray::fromFloat(randomVector(feat * good.cols, 5));
+        NDArray xr = NDArray::fromFloat(randomVector(good.cols * feat, 6));
+        NDArray w = NDArray::fromFloat(randomVector(feat * feat, 7));
+
+        /** One op over operand `a` writing `out`. */
+        struct Op
+        {
+            const char *name;
+            int64_t outNumel;
+            std::function<void(const Csr &, NDArray *)> call;
+        };
+        const Op ops[] = {
+            {"spmmCsr", good.rows * feat,
+             [&](const Csr &a, NDArray *out) {
+                 eng.spmmCsr(a, feat, &b, out);
+             }},
+            {"spmmHyb", good.rows * feat,
+             [&](const Csr &a, NDArray *out) {
+                 eng.spmmHyb(a, feat, &b, out);
+             }},
+            {"sddmm", good.nnz(),
+             [&](const Csr &a, NDArray *out) {
+                 eng.sddmm(a, feat, &x, &y, out);
+             }},
+            {"rgcn", good.rows * feat,
+             [&](const Csr &a, NDArray *out) {
+                 format::RelationalCsr graph = good_graph;
+                 graph.relations[1] = a;
+                 eng.rgcn(graph, feat, &xr, &w, out);
+             }},
+        };
+        for (const Op &op : ops) {
+            // Warm the valid structure first, so "short values" is a
+            // cache hit that only the per-dispatch check can catch.
+            NDArray out({op.outNumel}, ir::DataType::float32());
+            ASSERT_NO_THROW(op.call(good, &out)) << op.name;
+            for (const auto &[defect, bad] : malformedVariants()) {
+                NDArray c = sentinel(op.outNumel);
+                NDArray before = c;  // copy
+                EXPECT_THROW(op.call(bad, &c), UserError)
+                    << op.name << " accepted " << defect << " on tier "
+                    << static_cast<int>(backend);
+                EXPECT_TRUE(bitwiseEqual(before, c))
+                    << op.name << " wrote its output before rejecting "
+                    << defect;
+            }
+        }
+    }
+}
+
+TEST(EngineInputs, FormatCheckNamesArrayIndexAndRule)
+{
+    Csr a = validCsr();
+    a.indices[4] = 9;
+    try {
+        format::checkCsr(a);
+        FAIL() << "out-of-range column accepted";
+    } catch (const UserError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("indices[4] = 9"), std::string::npos) << what;
+        EXPECT_NE(what.find("[0, cols = 5)"), std::string::npos) << what;
+    }
+    a = validCsr();
+    a.indptr.back() = 5;
+    EXPECT_THROW(format::checkCsr(a), UserError);
+    a = validCsr();
+    a.indptr.pop_back();
+    EXPECT_THROW(format::checkCsr(a), UserError);
+    EXPECT_NO_THROW(format::checkCsr(validCsr()));
+}
+
+TEST(EngineInputs, SingleRequestSpmmRejectsAliasedOrNullArrays)
+{
+    Csr a = randomCsr(24, 24, 0.25, 51);
+    format::Bsr bsr = format::bsrFromCsr(a, 4);
+    format::SrBcrs sr = format::srbcrsFromCsr(a, 4, 2);
+    int64_t feat = 4;
+    for (runtime::Backend backend : kTiers) {
+        Engine eng(tierOptions(backend));
+        /** One SpMM shim over (B, C). */
+        struct Shim
+        {
+            const char *name;
+            int64_t bNumel;
+            int64_t cNumel;
+            std::function<void(NDArray *, NDArray *)> call;
+        };
+        const Shim shims[] = {
+            {"spmmCsr", a.cols * feat, a.rows * feat,
+             [&](NDArray *b, NDArray *c) { eng.spmmCsr(a, feat, b, c); }},
+            {"spmmHyb", a.cols * feat, a.rows * feat,
+             [&](NDArray *b, NDArray *c) { eng.spmmHyb(a, feat, b, c); }},
+            {"spmmBsr", bsr.blockCols * bsr.blockSize * feat,
+             bsr.blockRows * bsr.blockSize * feat,
+             [&](NDArray *b, NDArray *c) {
+                 eng.spmmBsr(bsr, feat, b, c);
+             }},
+            {"spmmSrbcrs", sr.cols * feat, sr.stripes * sr.tileHeight * feat,
+             [&](NDArray *b, NDArray *c) {
+                 eng.spmmSrbcrs(sr, feat, b, c);
+             }},
+        };
+        for (const Shim &shim : shims) {
+            // One array serving as both B and C (sized for the larger).
+            NDArray x = sentinel(std::max(shim.bNumel, shim.cNumel));
+            NDArray before = x;  // copy
+            EXPECT_THROW(shim.call(&x, &x), UserError) << shim.name;
+            EXPECT_TRUE(bitwiseEqual(before, x))
+                << shim.name << " wrote through an aliased output";
+            NDArray b = sentinel(shim.bNumel);
+            NDArray c = sentinel(shim.cNumel);
+            NDArray c_before = c;  // copy
+            EXPECT_THROW(shim.call(nullptr, &c), UserError) << shim.name;
+            EXPECT_TRUE(bitwiseEqual(c_before, c)) << shim.name;
+            EXPECT_THROW(shim.call(&b, nullptr), UserError) << shim.name;
+            // The same session still serves a valid request.
+            EXPECT_NO_THROW(shim.call(&b, &c)) << shim.name;
+        }
+    }
 }
 
 } // namespace

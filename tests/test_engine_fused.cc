@@ -1,9 +1,9 @@
 /**
  * @file
- * Fused task-graph dispatch: bitwise equality of the fused schedule
- * against both the serial oracle and the barriered parallel path, on
- * hyb SpMM (single and batched, including the prepared-handle
- * overload) and RGCN; structural properties of built TaskGraphs;
+ * Task-graph dispatch: bitwise equality of the parallel schedule
+ * against the serial oracle on hyb SpMM (single and batched,
+ * including the prepared-handle overload) and RGCN; structural
+ * properties of built TaskGraphs;
  * chains headed by exclusive kernels; and determinism under
  * contention — many threads hammering one shared fused session must
  * produce bit-identical results from exactly one compile, without
@@ -51,23 +51,22 @@ randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
 
 /** Engine with every schedule knob explicit. */
 Engine
-makeEngine(runtime::Backend backend, bool parallel, bool fused,
-           int threads, int64_t min_chunk = 8)
+makeEngine(runtime::Backend backend, bool parallel, int threads,
+           int64_t min_chunk = 8)
 {
     EngineOptions options;
     options.backend = backend;
     options.parallel = parallel;
-    options.fusedDispatch = fused;
     options.numThreads = threads;
     options.minBlocksPerChunk = min_chunk;
     return Engine(options);
 }
 
 // ---------------------------------------------------------------------
-// Fused vs barriered vs serial, single request
+// Task graph vs serial, single request
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
+TEST(EngineFused, HybBitwiseMatchesSerial)
 {
     // Power-law structure: several buckets per partition, split rows
     // (an exclusive kernel) in the widest one.
@@ -80,7 +79,7 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
 
     // Serial interpreter oracle.
     Engine serial = makeEngine(runtime::Backend::kInterpreter,
-                               /*parallel=*/false, /*fused=*/false, 1);
+                               /*parallel=*/false, 1);
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b, &expected, config);
 
@@ -88,18 +87,13 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
     {
         const char *name;
         runtime::Backend backend;
-        bool fused;
     };
     const Variant variants[] = {
-        {"bytecode fused", runtime::Backend::kBytecode, true},
-        {"bytecode barriered", runtime::Backend::kBytecode, false},
-        {"interpreter fused", runtime::Backend::kInterpreter, true},
-        {"interpreter barriered", runtime::Backend::kInterpreter,
-         false},
+        {"bytecode", runtime::Backend::kBytecode},
+        {"interpreter", runtime::Backend::kInterpreter},
     };
     for (const Variant &variant : variants) {
-        Engine eng = makeEngine(variant.backend, /*parallel=*/true,
-                                variant.fused, 4,
+        Engine eng = makeEngine(variant.backend, /*parallel=*/true, 4,
                                 /*min_chunk=*/4);
         NDArray c({a.rows * feat}, ir::DataType::float32());
         auto info = eng.spmmHyb(a, feat, &b, &c, config);
@@ -114,7 +108,7 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
     }
 }
 
-TEST(EngineFused, RgcnBitwiseMatchesSerialAndBarriered)
+TEST(EngineFused, RgcnBitwiseMatchesSerial)
 {
     format::RelationalCsr graph;
     graph.rows = 60;
@@ -129,33 +123,29 @@ TEST(EngineFused, RgcnBitwiseMatchesSerialAndBarriered)
     NDArray w = NDArray::fromFloat(randomVector(feat * feat, 42));
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray expected({graph.rows * feat}, ir::DataType::float32());
     serial.rgcn(graph, feat, &x, &w, &expected);
 
-    for (bool fused : {true, false}) {
-        for (runtime::Backend backend :
-             {runtime::Backend::kBytecode,
-              runtime::Backend::kInterpreter}) {
-            Engine eng = makeEngine(backend, true, fused, 4);
-            NDArray y({graph.rows * feat}, ir::DataType::float32());
-            auto info = eng.rgcn(graph, feat, &x, &w, &y);
-            EXPECT_GE(info.numKernels, 3);
-            EXPECT_TRUE(bitwiseEqual(expected, y))
-                << (fused ? "fused" : "barriered") << " rgcn on "
-                << (backend == runtime::Backend::kBytecode
-                        ? "bytecode"
-                        : "interpreter")
-                << " diverged from the serial oracle";
-        }
+    for (runtime::Backend backend :
+         {runtime::Backend::kBytecode, runtime::Backend::kInterpreter}) {
+        Engine eng = makeEngine(backend, true, 4);
+        NDArray y({graph.rows * feat}, ir::DataType::float32());
+        auto info = eng.rgcn(graph, feat, &x, &w, &y);
+        EXPECT_GE(info.numKernels, 3);
+        EXPECT_TRUE(bitwiseEqual(expected, y))
+            << "rgcn on "
+            << (backend == runtime::Backend::kBytecode ? "bytecode"
+                                                       : "interpreter")
+            << " diverged from the serial oracle";
     }
 }
 
 // ---------------------------------------------------------------------
-// Batched fused dispatch
+// Batched task-graph dispatch
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, HybBatchBitwiseMatchesSequentialAndBarriered)
+TEST(EngineFused, HybBatchBitwiseMatchesSequential)
 {
     Csr a = graph::powerLawGraph(250, 3000, 1.8, 53);
     int64_t feat = 8;
@@ -165,47 +155,35 @@ TEST(EngineFused, HybBatchBitwiseMatchesSequentialAndBarriered)
 
     std::vector<NDArray> b;
     std::vector<NDArray> fused_c;
-    std::vector<NDArray> barriered_c;
     std::vector<NDArray> expected;
     for (int i = 0; i < kRequests; ++i) {
         b.push_back(
             NDArray::fromFloat(randomVector(a.cols * feat, 60 + i)));
         fused_c.emplace_back(std::vector<int64_t>{a.rows * feat},
                              ir::DataType::float32());
-        barriered_c.emplace_back(std::vector<int64_t>{a.rows * feat},
-                                 ir::DataType::float32());
         expected.emplace_back(std::vector<int64_t>{a.rows * feat},
                               ir::DataType::float32());
     }
 
     // Per-request serial ground truth.
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     for (int i = 0; i < kRequests; ++i) {
         serial.spmmHyb(a, feat, &b[i], &expected[i], config);
     }
 
-    Engine fused_eng = makeEngine(runtime::Backend::kBytecode, true,
-                                  true, 4);
-    Engine barriered_eng = makeEngine(runtime::Backend::kBytecode,
-                                      true, false, 4);
+    Engine fused_eng = makeEngine(runtime::Backend::kBytecode, true, 4);
     std::vector<SpmmRequest> fused_requests;
-    std::vector<SpmmRequest> barriered_requests;
     for (int i = 0; i < kRequests; ++i) {
         fused_requests.push_back(SpmmRequest{&b[i], &fused_c[i]});
-        barriered_requests.push_back(
-            SpmmRequest{&b[i], &barriered_c[i]});
     }
     fused_eng.spmmHybBatch(a, feat, fused_requests, config);
-    barriered_eng.spmmHybBatch(a, feat, barriered_requests, config);
     for (int i = 0; i < kRequests; ++i) {
         EXPECT_TRUE(bitwiseEqual(expected[i], fused_c[i]))
             << "fused batch request " << i << " diverged";
-        EXPECT_TRUE(bitwiseEqual(expected[i], barriered_c[i]))
-            << "barriered batch request " << i << " diverged";
     }
 
-    // Prepared-handle overload through the fused path.
+    // Prepared-handle overload through the task graph.
     engine::PreparedSpmmHyb prepared =
         fused_eng.prepareSpmmHyb(a, feat, config);
     EXPECT_TRUE(prepared.cacheHit);
@@ -240,13 +218,12 @@ TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
     config.bucketCapLog2 = 0;
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 72));
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b, &expected, config);
 
-    Engine fused = makeEngine(runtime::Backend::kBytecode, true, true,
-                              4);
+    Engine fused = makeEngine(runtime::Backend::kBytecode, true, 4);
     NDArray c({a.rows * feat}, ir::DataType::float32());
     fused.spmmHyb(a, feat, &b, &c, config);
     EXPECT_TRUE(bitwiseEqual(expected, c));
@@ -297,7 +274,8 @@ TEST(EngineFused, TaskGraphSplitsGridsAndOrdersChains)
     bindings.scalars["n"] = 32;
     bindings.scalars["nnz"] = 100;
     bindings.scalars["feat_size"] = 4;
-    std::vector<runtime::Bindings> requests{bindings, bindings};
+    std::vector<const runtime::Bindings *> requests{&bindings,
+                                                    &bindings};
 
     engine::ExecOptions options;
     options.minBlocksPerChunk = 8;
@@ -352,7 +330,7 @@ TEST(EngineFused, DeterministicUnderContentionWithOneCompile)
     auto b_host = randomVector(a.cols * feat, 92);
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray b_ref = NDArray::fromFloat(b_host);
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b_ref, &expected, config);
@@ -360,8 +338,7 @@ TEST(EngineFused, DeterministicUnderContentionWithOneCompile)
     // One shared fused session. Prime the artifact first: racing
     // first-time builders may each compile (documented CompileCache
     // behavior); the warm contention run must hit one artifact.
-    Engine eng = makeEngine(runtime::Backend::kBytecode, true, true,
-                            4);
+    Engine eng = makeEngine(runtime::Backend::kBytecode, true, 4);
     {
         NDArray b = NDArray::fromFloat(b_host);
         NDArray c({a.rows * feat}, ir::DataType::float32());

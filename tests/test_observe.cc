@@ -478,7 +478,7 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
 
     constexpr int kRequests = 2;
     std::vector<NDArray> outs;
-    std::vector<runtime::Bindings> requests;
+    std::vector<runtime::Bindings> views;
     for (int r = 0; r < kRequests; ++r) {
         outs.emplace_back(std::vector<int64_t>{a.rows * feat},
                           ir::DataType::float32());
@@ -486,19 +486,24 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
     for (int r = 0; r < kRequests; ++r) {
         runtime::Bindings view = base;
         view.arrays["C_data"] = &outs[r];
-        requests.push_back(view);
+        views.push_back(view);
+    }
+    std::vector<const runtime::Bindings *> requests;
+    for (const runtime::Bindings &view : views) {
+        requests.push_back(&view);
     }
 
     engine::ExecOptions options;
     options.minBlocksPerChunk = 8;
     std::vector<const engine::CompiledKernel *> kernels{&kernel};
+    // The plan run() executes: planning is deterministic.
     engine::TaskGraph graph =
         executor.buildTaskGraph(kernels, requests, options);
     ASSERT_GT(graph.units.size(), 0u);
 
     quiesceRecorder();
     TraceRecorder::global().setEnabled(true);
-    executor.runTaskGraph(graph, requests, options);
+    executor.run(kernels, requests, options);
 
     std::vector<observe::CollectedEvent> events =
         TraceRecorder::global().collect();
