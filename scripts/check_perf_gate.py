@@ -8,10 +8,11 @@ Fails (exit 1) when the bytecode backend's warm-dispatch speedup over
 the interpreter falls below <min_backend_speedup>, when the two
 backends stopped producing bitwise-identical outputs, or when the
 native tier's warm req/s over the bytecode tier's ("tiers" object,
-experiment [11]) falls below <min_native_speedup> for spmm_csr or
-spmm_hyb, or when spmm_csr's native kernel efficiency (its tiers
-row's "native_efficiency": the same-semantics reference loop's ms over
-the native tier's) falls below <min_native_efficiency>. (A native tier
+experiment [11]) falls below <min_native_speedup> for spmm_csr,
+spmm_hyb or spmm_bsr, or when spmm_csr's native kernel efficiency
+(its tiers row's "native_efficiency": the same-semantics reference
+loop's ms over the native tier's) falls below <min_native_efficiency>.
+(A native tier
 that diverges bitwise already fails the bench's own exit status.) Malformed input — an unreadable or
 syntactically invalid JSON file, missing fields (including the
 "tiers" rows the native gate reads), or nonsense measurements
@@ -29,7 +30,7 @@ import json
 import sys
 
 # Op families whose native/bytecode warm req/s ratio is gated.
-NATIVE_GATED_OPS = ("spmm_csr", "spmm_hyb")
+NATIVE_GATED_OPS = ("spmm_csr", "spmm_hyb", "spmm_bsr")
 # Op family whose native efficiency against its reference loop is gated.
 EFFICIENCY_GATED_OP = "spmm_csr"
 

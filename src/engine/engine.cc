@@ -709,6 +709,18 @@ checkValues(const Csr &a)
         << " (values.size() must equal nnz)";
 }
 
+/** checkValues for BSR: nnz blocks * blockSize^2 values. */
+void
+checkValues(const format::Bsr &a)
+{
+    int64_t expected =
+        a.nnzBlocks() * static_cast<int64_t>(a.blockSize) * a.blockSize;
+    USER_CHECK(static_cast<int64_t>(a.values.size()) == expected)
+        << "malformed BSR: values has " << a.values.size()
+        << " entries, " << a.nnzBlocks() << " blocks of "
+        << a.blockSize << " x " << a.blockSize << " need " << expected;
+}
+
 /**
  * Validate SpMM requests and list their arrays. Outputs must be
  * distinct, and no output may alias any request's input: requests run
@@ -1246,10 +1258,12 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const BsrConfig &config)
 {
+    checkValues(a);
     KernelShape shape = bsrShape(a, feat);
     DispatchSpec spec = kernelSpec(
         OpKind::kSpmmBsr, spmmBsrKey(a, feat, config), shape,
         [&] {
+            format::checkBsr(a);
             return core::compileBsrSpmmFunc(a.blockSize, feat,
                                             config.tensorCores);
         },
@@ -1305,7 +1319,13 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
              int64_t featOut, NDArray *x, NDArray *w, NDArray *y,
              const RgcnConfig &config)
 {
-    for (const Csr &relation : graph.relations) {
+    for (size_t r = 0; r < graph.relations.size(); ++r) {
+        const Csr &relation = graph.relations[r];
+        USER_CHECK(relation.rows == graph.rows &&
+                   relation.cols == graph.cols)
+            << "malformed relational graph: relation " << r << " is "
+            << relation.rows << " x " << relation.cols
+            << ", the graph is " << graph.rows << " x " << graph.cols;
         checkValues(relation);
     }
     DispatchSpec spec;

@@ -28,10 +28,11 @@
  * grid-chunk) units — each request's output bitwise identical to its
  * own serial dispatch.
  *
- * CSR operands are untrusted: the miss path validates each new
- * structure once (format::checkCsr) and every dispatch checks the
- * values length, so a malformed operand raises UserError before any
- * output is written.
+ * CSR and BSR operands are untrusted: the miss path validates each
+ * new structure once (format::checkCsr, format::checkBsr) and every
+ * dispatch checks the values length (and a relational graph's
+ * relation shapes), so a malformed operand raises UserError before
+ * any output is written.
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every

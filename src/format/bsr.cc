@@ -24,6 +24,41 @@ Bsr::paddingRatio()
     return static_cast<double>(zeros) / static_cast<double>(values.size());
 }
 
+void
+checkBsr(const Bsr &m)
+{
+    USER_CHECK(m.blockSize > 0 && m.blockRows >= 0 && m.blockCols >= 0)
+        << "malformed BSR: block size " << m.blockSize << ", "
+        << m.blockRows << " x " << m.blockCols
+        << " blocks; the block size must be positive and the block "
+           "counts non-negative";
+    USER_CHECK(static_cast<int64_t>(m.indptr.size()) == m.blockRows + 1)
+        << "malformed BSR: indptr has " << m.indptr.size()
+        << " entries, blockRows + 1 = " << m.blockRows + 1 << " expected";
+    USER_CHECK(m.indptr[0] == 0)
+        << "malformed BSR: indptr[0] = " << m.indptr[0] << ", must be 0";
+    for (int64_t r = 0; r < m.blockRows; ++r) {
+        USER_CHECK(m.indptr[r] <= m.indptr[r + 1])
+            << "malformed BSR: indptr[" << r + 1 << "] = "
+            << m.indptr[r + 1] << " < indptr[" << r << "] = "
+            << m.indptr[r] << ", indptr must never decrease";
+    }
+    USER_CHECK(m.indptr[m.blockRows] == m.nnzBlocks())
+        << "malformed BSR: indptr[" << m.blockRows << "] = "
+        << m.indptr[m.blockRows] << ", must equal nnz blocks = "
+        << m.nnzBlocks();
+    for (int64_t q = 0; q < m.nnzBlocks(); ++q) {
+        USER_CHECK(m.indices[q] >= 0 && m.indices[q] < m.blockCols)
+            << "malformed BSR: indices[" << q << "] = " << m.indices[q]
+            << " is outside [0, blockCols = " << m.blockCols << ")";
+    }
+    int64_t bs2 = static_cast<int64_t>(m.blockSize) * m.blockSize;
+    USER_CHECK(static_cast<int64_t>(m.values.size()) == m.nnzBlocks() * bs2)
+        << "malformed BSR: values has " << m.values.size()
+        << " entries, must equal nnz blocks * blockSize^2 = "
+        << m.nnzBlocks() * bs2;
+}
+
 Bsr
 bsrFromCsr(const Csr &m, int32_t block_size)
 {

@@ -43,6 +43,16 @@ struct Bsr
 /** Convert CSR to BSR with the given block size (rows/cols padded). */
 Bsr bsrFromCsr(const Csr &m, int32_t block_size);
 
+/**
+ * Check an untrusted BSR operand in O(nnz blocks) before it reaches a
+ * kernel: blockSize is positive; indptr has blockRows + 1 entries,
+ * starts at 0, never decreases and ends at nnz blocks; every block
+ * column index is in [0, blockCols); values has nnz blocks *
+ * blockSize^2 entries. Throws UserError naming the array, the index
+ * and the rule.
+ */
+void checkBsr(const Bsr &m);
+
 /** Expand to row-major dense (original rows x cols). */
 std::vector<float> bsrToDense(const Bsr &m);
 

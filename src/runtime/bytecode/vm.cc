@@ -469,8 +469,10 @@ struct Machine
                 int64_t lo = ir[in.c];
                 int64_t hi = ir[in.d];
                 int64_t val = ir[in.imm];
-                ICHECK_GE(lo, 0);
-                ICHECK_LE(hi, s.numel);
+                ICHECK(lo >= 0 && hi <= s.numel)
+                    << "binary search range out of bounds for buffer '"
+                    << prog.slots[static_cast<size_t>(in.b)].name
+                    << "' (at " << (lo < 0 ? lo : hi) << ")";
                 bool upper = in.op == Op::kUpperBound;
                 while (lo < hi) {
                     int64_t mid = lo + (hi - lo) / 2;

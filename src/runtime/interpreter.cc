@@ -358,8 +358,10 @@ class Machine
             int64_t lo = evalExpr(op->args[0]).asInt();
             int64_t hi = evalExpr(op->args[1]).asInt();
             int64_t val = evalExpr(op->args[2]).asInt();
-            ICHECK_GE(lo, 0);
-            ICHECK_LE(hi, array->numel());
+            ICHECK(lo >= 0 && hi <= array->numel())
+                << "binary search range out of bounds for buffer '"
+                << op->bufferArg->name << "' (at " << (lo < 0 ? lo : hi)
+                << ")";
             bool upper = op->op == Builtin::kUpperBound;
             while (lo < hi) {
                 int64_t mid = lo + (hi - lo) / 2;

@@ -99,6 +99,11 @@ typedef struct {
 #define ST_LDG(k, off, dst, label) do { if ((uint64_t)(off) >= (uint64_t)n##k) { goto label; } dst = p##k[off]; } while (0)
 #define ST_SPAN(k, lo, hi, label) do { if ((uint64_t)(lo) >= (uint64_t)n##k || (uint64_t)(hi) >= (uint64_t)n##k) { goto label; } } while (0)
 
+/* Binary search over p<k>[lo, hi); the caller checked 0 <= lo and
+ * hi <= n<k>, so every probe is in range. `cmp` is <= (upper bound)
+ * or < (lower bound). */
+#define ST_BSEARCH(k, lo, hi, val, cmp, out) do { int64_t st_lo_ = (lo), st_hi_ = (hi); while (st_lo_ < st_hi_) { int64_t st_mid_ = st_lo_ + (st_hi_ - st_lo_) / 2; if (p##k[st_mid_] cmp (val)) { st_lo_ = st_mid_ + 1; } else { st_hi_ = st_mid_; } } out = st_lo_; } while (0)
+
 static int32_t st_fault(StCtx *ctx, int32_t code, int32_t slot, int64_t offset) {
     ctx->fault_slot = slot;
     ctx->fault_offset = offset;
@@ -121,6 +126,54 @@ static int32_t st_apart(const StCtx *ctx, int32_t a, int32_t b) {
     uintptr_t yb = (uintptr_t)y->base;
     return xb + (uint64_t)x->numel * (uint64_t)x->ebytes <= yb ||
            yb + (uint64_t)y->numel * (uint64_t)y->ebytes <= xb;
+}
+
+/* Range [*lo, *hi] of the affine offset f0 + sum c[i] * x[i] over
+ * 0 <= x[i] < e[i] (every e[i] >= 1); 0 when a bound overflows. */
+static int32_t st_box(int64_t f0, const int64_t *c, const int64_t *e, int32_t n,
+                      int64_t *lo, int64_t *hi) {
+    int64_t a = f0;
+    int64_t b = f0;
+    for (int32_t i = 0; i < n; ++i) {
+        int64_t d;
+        if (__builtin_mul_overflow(c[i], e[i] - 1, &d) ||
+            (d < 0 ? __builtin_add_overflow(a, d, &a)
+                   : __builtin_add_overflow(b, d, &b))) {
+            return 0;
+        }
+    }
+    *lo = a;
+    *hi = b;
+    return 1;
+}
+
+/* 1 when no two values of x[0] share an image under the map
+ * x -> sum c[i] * x[i] (0 <= x[i] < e[i], n <= 8): the terms that vary,
+ * ordered by |c|, each exceed the span of the smaller ones (a
+ * mixed-radix numbering). A passing st_box over the same c and e
+ * bounds every product and the sum. */
+static int32_t st_radix(const int64_t *c, const int64_t *e, int32_t n) {
+    uint64_t mag[8];
+    uint64_t top[8];
+    int32_t k = 0;
+    if (e[0] > 1 && c[0] == 0) { return 0; }
+    for (int32_t i = 0; i < n; ++i) {
+        if (c[i] == 0 || e[i] <= 1) { continue; }
+        uint64_t m = c[i] < 0 ? -(uint64_t)c[i] : (uint64_t)c[i];
+        int32_t j = k++;
+        for (; j > 0 && mag[j - 1] > m; --j) {
+            mag[j] = mag[j - 1];
+            top[j] = top[j - 1];
+        }
+        mag[j] = m;
+        top[j] = (uint64_t)(e[i] - 1);
+    }
+    uint64_t span = 0;
+    for (int32_t i = 0; i < k; ++i) {
+        if (mag[i] <= span) { return 0; }
+        span += mag[i] * top[i];
+    }
+    return 1;
 }
 
 /* Floor division toward negative infinity; callers guard divisor != 0. */
@@ -265,6 +318,9 @@ constexpr int64_t kStackScratchBytes = 4096;
  * float rounding between reduction steps.
  */
 constexpr int64_t kMinLanes = 4;
+
+/** Deepest kInPlace nest: st_radix takes the lane and 7 nest terms. */
+constexpr size_t kMaxNest = 7;
 
 /**
  * Stage III -> C translator for one function. Statement-oriented
@@ -495,13 +551,13 @@ class Emitter
         std::string decl = std::string(flt ? "double " : "int64_t ") +
                            t + "; ";
         if (!slowLabel_.empty()) {
-            // Sunk region: the lane's accumulator, a lane access whose
-            // range the region checked, or a checked hoisted load.
+            // Sunk region: the lane's accumulator, an access whose range
+            // the region checked, or a checked hoisted load.
             std::string init = std::string(flt ? "double " : "int64_t ") +
                                t + " = ";
             if (buffer->data.get() == lane_.acc) {
                 line(init + lane_.array + "[" + laneTok() + "];");
-            } else if (lane_.inLoop) {
+            } else if (lane_.inLoop || lane_.prechecked) {
                 line(init + "p" + slotTok(slotFor(buffer)) + "[" + off +
                      "];");
             } else {
@@ -1045,11 +1101,23 @@ class Emitter
             std::string hi = emitI(op->args[1]);
             std::string val = emitI(op->args[2]);
             std::string t = tmp();
+            bool upper = op->op == Builtin::kUpperBound;
+            std::string k = slotTok(slot);
+            std::string call = "ST_CALL(st_search(ctx, " + k + ", " + lo +
+                               ", " + hi + ", " + val + ", " +
+                               (upper ? "1" : "0") + ", &" + t + "));";
             line("int64_t " + t + " = 0;");
-            line("ST_CALL(st_search(ctx, " + slotTok(slot) + ", " +
-                 lo + ", " + hi + ", " + val + ", " +
-                 (op->op == Builtin::kUpperBound ? "1" : "0") + ", &" +
-                 t + "));");
+            if (!fastAccess(slot, op->bufferArg->dtype, false)) {
+                line(call);
+                return t;
+            }
+            // An eligible slot (n<k> > 0) is bound, unrebased and of
+            // the probed kind: inside [0, n<k>] the search is st_search
+            // with every probe a direct typed load.
+            line("if (n" + k + " > 0 && " + lo + " >= 0 && " + hi +
+                 " <= n" + k + ") { ST_BSEARCH(" + k + ", " + lo + ", " +
+                 hi + ", " + val + ", " + (upper ? "<=" : "<") + ", " + t +
+                 "); } else { " + call + " }");
             return t;
           }
           case Builtin::kAbs: {
@@ -1187,39 +1255,12 @@ class Emitter
           }
           case StmtKind::kAllocate: {
             auto op = static_cast<const AllocateNode *>(s.get());
-            int slot = static_cast<int>(slotNames_.size());
-            slotNames_.push_back(op->buffer->name);
-            plans_.emplace_back();
-            bytecode::ElemKind kind =
-                bytecode::elemKindOfDtype(op->buffer->dtype);
-            int64_t bytes = bytecode::elemKindBytes(kind);
-            int64_t numel = constantExtent(op->buffer->shape);
-            const char *ctype = cType(static_cast<int>(kind));
-            if (ctype != nullptr && numel > 0 &&
-                numel <= kStackScratchBytes / bytes) {
-                // Zeroed on every entry, like st_alloc's calloc.
-                SlotPlan &plan = plans_.back();
-                plan.kind = static_cast<int>(kind);
-                plan.stack = true;
-                plan.numel = numel;
-                line(std::string(ctype) + " p" + slotTok(slot) + "[" +
-                     std::to_string(numel) + "] = {0};");
+            LaneRegion region;
+            if (matchRfactor(op, &region)) {
+                emitSunkRegion(region, [&] { emitAllocate(op); });
             } else {
-                Expr size = op->buffer->shape.empty()
-                                ? intImm(1)
-                                : op->buffer->shape[0];
-                for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
-                    size = mul(size, op->buffer->shape[d]);
-                }
-                std::string n = emitI(size);
-                plans_.back().kind = kSlow;
-                    line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " +
-                     n + ", " + std::to_string(static_cast<int>(kind)) +
-                     ", " + std::to_string(bytes) + "));");
+                emitAllocate(op);
             }
-            slotOf_[op->buffer->data.get()] = slot;
-            emitStmt(op->body);
-            slotOf_.erase(op->buffer->data.get());
             break;
           }
           case StmtKind::kEvaluate: {
@@ -1243,6 +1284,45 @@ class Emitter
           default:
             ICHECK(false) << "unhandled stmt kind";
         }
+    }
+
+    /** A scratch buffer: a zeroed stack array or st_alloc. */
+    void
+    emitAllocate(const AllocateNode *op)
+    {
+        int slot = static_cast<int>(slotNames_.size());
+        slotNames_.push_back(op->buffer->name);
+        plans_.emplace_back();
+        bytecode::ElemKind kind =
+            bytecode::elemKindOfDtype(op->buffer->dtype);
+        int64_t bytes = bytecode::elemKindBytes(kind);
+        int64_t numel = constantExtent(op->buffer->shape);
+        const char *ctype = cType(static_cast<int>(kind));
+        if (ctype != nullptr && numel > 0 &&
+            numel <= kStackScratchBytes / bytes) {
+            // Zeroed on every entry, like st_alloc's calloc.
+            SlotPlan &plan = plans_.back();
+            plan.kind = static_cast<int>(kind);
+            plan.stack = true;
+            plan.numel = numel;
+            line(std::string(ctype) + " p" + slotTok(slot) + "[" +
+                 std::to_string(numel) + "] = {0};");
+        } else {
+            Expr size = op->buffer->shape.empty()
+                            ? intImm(1)
+                            : op->buffer->shape[0];
+            for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
+                size = mul(size, op->buffer->shape[d]);
+            }
+            std::string n = emitI(size);
+            plans_.back().kind = kSlow;
+            line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " +
+                 n + ", " + std::to_string(static_cast<int>(kind)) +
+                 ", " + std::to_string(bytes) + "));");
+        }
+        slotOf_[op->buffer->data.get()] = slot;
+        emitStmt(op->body);
+        slotOf_.erase(op->buffer->data.get());
     }
 
     /** Fire a Block's init only when every in-scope reduce var is at
@@ -1277,7 +1357,9 @@ class Emitter
     {
         LaneRegion region;
         if (matchRegion(op, &region)) {
-            emitSunkRegion(region);
+            emitSunkRegion(region, [&] {
+                emitLoop(op, [&] { emitStmt(op->body); });
+            });
         } else {
             emitLoop(op, [&] { emitStmt(op->body); });
         }
@@ -1329,15 +1411,32 @@ class Emitter
     // -----------------------------------------------------------------
 
     /**
-     * A private-accumulator lane region: a loop L over a constant
-     * number of lanes whose body, per lane, initialises a one-element
-     * scratch S, runs a reduction R that writes only S and whose loop
-     * bounds do not depend on the lane, then writes S back with one
-     * store. Optionally a lane-prefix guard `a + l < b` (or `l < b`)
-     * wraps the body or sits inside R and around the write-back.
+     * The three shapes of a lane region, each a loop L over a constant
+     * number of lanes (see matchRegion, matchRfactor, matchInPlace).
+     */
+    enum class RegionKind
+    {
+        /** Per lane: a one-element scratch S, a reduction R that
+         *  writes only S, and one store writing S back. */
+        kPrivate,
+        /** L reduces into S[l] of a lane-indexed scratch; a sibling
+         *  serial loop F then folds S into one output element. */
+        kRfactor,
+        /** Per lane: a nest of constant-extent loops around one store
+         *  to an output array at an offset affine in the lane and the
+         *  nest variables. */
+        kInPlace,
+    };
+
+    /**
+     * A matched lane region. Optionally a lane-prefix guard `a + l < b`
+     * (or `l < b`) wraps L's body (every kind), or sits inside R and
+     * around the write-back (kPrivate) or inside R only (kRfactor,
+     * where a may depend on R's variables).
      */
     struct LaneRegion
     {
+        RegionKind kind = RegionKind::kPrivate;
         const ForNode *loop = nullptr;
         int64_t lanes = 0;
         /** The guard condition, null when every lane is active. */
@@ -1347,14 +1446,25 @@ class Emitter
         Expr guardB;
         /** The guard wraps the whole lane body. */
         bool outerGuard = false;
-        /** The accumulator S. */
+        /** The accumulator S (null for kInPlace). */
         Buffer acc;
-        /** S is allocated inside L, so it starts at zero per lane. */
+        /** Every lane's S starts at zero: S is allocated inside L
+         *  (kPrivate) or is the zeroed lane-indexed scratch (kRfactor). */
         bool accInside = false;
         /** `S = v` ahead of R, when S is allocated outside L. */
         const BufferStoreNode *init = nullptr;
+        /** R, or the outermost loop of kInPlace's nest. */
         const ForNode *reduce = nullptr;
-        const BufferStoreNode *writeback = nullptr;
+        /** The one store to a non-scratch array: the write-back
+         *  (kPrivate), F's update (kRfactor) or the update itself
+         *  (kInPlace). */
+        const BufferStoreNode *out = nullptr;
+        /** The init of out's Block: `B[q] = v` (kRfactor) or
+         *  `C[f] = v` (kInPlace). */
+        const BufferStoreNode *outInit = nullptr;
+        /** kInPlace: the nest, outermost first. Its variables vary
+         *  like the lane for hoisting out of the whole region. */
+        std::vector<const ForNode *> nest;
         /** Every load from an array other than S. */
         std::vector<const BufferLoadNode *> loads;
     };
@@ -1370,6 +1480,8 @@ class Emitter
         std::string count;
         /** Inside a lane loop: accesses are range-checked already. */
         bool inLoop = false;
+        /** kInPlace nest: every access was range-checked up front. */
+        bool prechecked = false;
         /** Tokens of the current statement's lane-invariant subtrees. */
         std::unordered_map<const ExprNode *, std::string> hoisted;
     };
@@ -1435,12 +1547,25 @@ class Emitter
         }
     }
 
-    /** e reads the lane variable or S. */
+    /** e mentions variable `v`. */
+    static bool
+    mentions(const Expr &e, const VarNode *v)
+    {
+        return e.get() == v || anyOperand(e, [&](const Expr &c) {
+                   return mentions(c, v);
+               });
+    }
+
+    /** e reads the lane variable, a nest variable or S. */
     static bool
     laneDep(const Expr &e, const LaneRegion &r)
     {
         if (e->kind == ExprKind::kVar) {
-            return e.get() == r.loop->loopVar.get();
+            return e.get() == r.loop->loopVar.get() ||
+                   std::any_of(r.nest.begin(), r.nest.end(),
+                               [&](const ForNode *loop) {
+                                   return e.get() == loop->loopVar.get();
+                               });
         }
         if (e->kind == ExprKind::kBufferLoad && r.acc != nullptr &&
             static_cast<const BufferLoadNode *>(e.get())
@@ -1526,8 +1651,9 @@ class Emitter
             return true;
           case ExprKind::kBufferLoad: {
             auto op = static_cast<const BufferLoadNode *>(e.get());
-            if (op->buffer->data.get() == r->acc->data.get()) {
-                return isScalarIndex(op->indices);
+            if (r->acc != nullptr &&
+                op->buffer->data.get() == r->acc->data.get()) {
+                return accIndexOk(op->indices, *r);
             }
             r->loads.push_back(op);
             return op->indices.size() == 1 &&
@@ -1597,7 +1723,18 @@ class Emitter
         return r->accInside && matchGuard(cond, r);
     }
 
-    /** `S[0] = v` with v computable per lane. */
+    /** S's element of the current lane: S[0], or S[l] for kRfactor. */
+    static bool
+    accIndexOk(const std::vector<Expr> &indices, const LaneRegion &r)
+    {
+        if (r.kind == RegionKind::kRfactor) {
+            return indices.size() == 1 &&
+                   indices[0].get() == r.loop->loopVar.get();
+        }
+        return isScalarIndex(indices);
+    }
+
+    /** `S[.] = v` (see accIndexOk) with v computable per lane. */
     static bool
     accStoreOk(const Stmt &s, LaneRegion *r)
     {
@@ -1606,7 +1743,7 @@ class Emitter
         }
         auto op = static_cast<const BufferStoreNode *>(s.get());
         return op->buffer->data.get() == r->acc->data.get() &&
-               isScalarIndex(op->indices) && laneExpr(op->value, r);
+               accIndexOk(op->indices, *r) && laneExpr(op->value, r);
     }
 
     /** R's body: loops with invariant bounds, invariant conditions or
@@ -1676,28 +1813,57 @@ class Emitter
                    static_cast<bytecode::ElemKind>(plan.kind));
     }
 
-    /** Structural match of a lane region rooted at `op` (see LaneRegion). */
+    /**
+     * `op` can be a region's lane loop L: not the grid loop, not inside
+     * another region's checked copy, min 0 and a literal lane count.
+     */
     bool
-    matchRegion(const ForNode *op, LaneRegion *r) const
+    laneLoopOk(const ForNode *op, LaneRegion *r) const
     {
-        if (op == blockLoop_ || !isZeroLiteral(op->minValue) ||
+        if (checkedDepth_ > 0 || op == blockLoop_ ||
+            !isZeroLiteral(op->minValue) ||
             op->extent->kind != ExprKind::kIntImm) {
             return false;
         }
         r->loop = op;
         r->lanes = static_cast<const IntImmNode *>(op->extent.get())->value;
-        if (r->lanes < kMinLanes || r->lanes > kStackScratchBytes / 8) {
+        return r->lanes >= kMinLanes && r->lanes <= kStackScratchBytes / 8;
+    }
+
+    /** L's body without an outer lane guard, which it records. */
+    static bool
+    stripOuterGuard(Stmt *s, LaneRegion *r)
+    {
+        if ((*s)->kind != StmtKind::kIfThenElse) {
+            return true;
+        }
+        auto guarded = static_cast<const IfThenElseNode *>(s->get());
+        if (guarded->elseBody != nullptr || !matchGuard(guarded->cond, r)) {
             return false;
         }
+        r->outerGuard = true;
+        *s = guarded->thenBody;
+        return true;
+    }
+
+    /** A kPrivate or else a kInPlace region rooted at `op`. */
+    bool
+    matchRegion(const ForNode *op, LaneRegion *r) const
+    {
+        if (matchPrivate(op, r)) {
+            return true;
+        }
+        *r = LaneRegion();
+        return matchInPlace(op, r);
+    }
+
+    /** Structural match of a kPrivate region rooted at `op`. */
+    bool
+    matchPrivate(const ForNode *op, LaneRegion *r) const
+    {
         Stmt s = op->body;
-        if (s->kind == StmtKind::kIfThenElse) {
-            auto guarded = static_cast<const IfThenElseNode *>(s.get());
-            if (guarded->elseBody != nullptr ||
-                !matchGuard(guarded->cond, r)) {
-                return false;
-            }
-            r->outerGuard = true;
-            s = guarded->thenBody;
+        if (!laneLoopOk(op, r) || !stripOuterGuard(&s, r)) {
+            return false;
         }
         if (s->kind == StmtKind::kAllocate) {
             auto alloc = static_cast<const AllocateNode *>(s.get());
@@ -1752,14 +1918,14 @@ class Emitter
             (r->guard != nullptr && !backGuarded)) {
             return false;
         }
-        r->writeback = static_cast<const BufferStoreNode *>(back.get());
-        const Buffer &out = r->writeback->buffer;
+        r->out = static_cast<const BufferStoreNode *>(back.get());
+        const Buffer &out = r->out->buffer;
         size_t before = r->loads.size();
         if (out->data.get() == r->acc->data.get() ||
             slotOf_.count(out->data.get()) == 0 ||
-            r->writeback->indices.size() != 1 ||
-            !laneAffine(r->writeback->indices[0], r) ||
-            !laneExpr(r->writeback->value, r)) {
+            r->out->indices.size() != 1 ||
+            !laneAffine(r->out->indices[0], r) ||
+            !laneExpr(r->out->value, r)) {
             return false;
         }
         // The write-back's array may only be read per lane inside the
@@ -1774,6 +1940,179 @@ class Emitter
             }
             if (slot->second == written &&
                 (i < before || !laneDep(load->indices[0], *r))) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /**
+     * `s` is one store to a parameter or scratch array at one index,
+     * optionally in a Block whose init stores to the same element and
+     * whose reduce variables all pass `rv_ok`. Records both stores.
+     */
+    template <typename RvOk>
+    bool
+    matchUpdate(const Stmt &s, LaneRegion *r, RvOk rv_ok) const
+    {
+        Stmt body = s;
+        if (s->kind == StmtKind::kBlock) {
+            auto block = static_cast<const BlockNode *>(s.get());
+            for (const auto &rv : block->reduceVars) {
+                if (!rv_ok(rv.get())) {
+                    return false;
+                }
+            }
+            if (block->init != nullptr) {
+                if (block->init->kind != StmtKind::kBufferStore) {
+                    return false;
+                }
+                r->outInit =
+                    static_cast<const BufferStoreNode *>(block->init.get());
+            }
+            body = block->body;
+        }
+        if (body->kind != StmtKind::kBufferStore) {
+            return false;
+        }
+        r->out = static_cast<const BufferStoreNode *>(body.get());
+        const BufferStoreNode *init = r->outInit;
+        return slotOf_.count(r->out->buffer->data.get()) != 0 &&
+               r->out->indices.size() == 1 &&
+               (init == nullptr ||
+                (init->buffer->data.get() == r->out->buffer->data.get() &&
+                 init->indices.size() == 1 &&
+                 structuralEqual(init->indices[0], r->out->indices[0])));
+    }
+
+    /**
+     * Structural match of a kInPlace region rooted at `op`: L's body
+     * is a nest of loops with min 0 and literal extents around one
+     * update `C[f] = v` (v reads C[f]), optionally in a Block whose
+     * init is `C[f] = v0` and whose reduce variables exclude the lane.
+     * f mentions the lane and is affine in the lane and the nest
+     * variables; v and v0 are computable per lane and read C only at
+     * f. Running the lane innermost keeps every element's update order
+     * when no two lanes share an element (checked at run time by
+     * st_radix) and C shares no memory with the arrays the region
+     * reads (the entry flag).
+     */
+    bool
+    matchInPlace(const ForNode *op, LaneRegion *r) const
+    {
+        Stmt s = op->body;
+        if (!laneLoopOk(op, r) || !stripOuterGuard(&s, r)) {
+            return false;
+        }
+        r->kind = RegionKind::kInPlace;
+        while (s->kind == StmtKind::kFor && r->nest.size() < kMaxNest) {
+            auto loop = static_cast<const ForNode *>(s.get());
+            if (!isZeroLiteral(loop->minValue) ||
+                !positiveLiteral(loop->extent)) {
+                return false;
+            }
+            r->nest.push_back(loop);
+            s = loop->body;
+        }
+        const VarNode *lane = op->loopVar.get();
+        if (r->nest.empty() ||
+            !matchUpdate(s, r, [&](const VarNode *rv) { return rv != lane; })) {
+            return false;
+        }
+        r->reduce = r->nest[0];
+        const Expr &f = r->out->indices[0];
+        if (!mentions(f, lane) || !laneAffine(f, r) ||
+            !laneExpr(r->out->value, r) ||
+            (r->outInit != nullptr && !laneExpr(r->outInit->value, r))) {
+            return false;
+        }
+        const VarNode *out = r->out->buffer->data.get();
+        bool updates = false;
+        for (const BufferLoadNode *load : r->loads) {
+            bool at_f = load->buffer->data.get() == out &&
+                        load->indices.size() == 1 &&
+                        structuralEqual(load->indices[0], f);
+            if (slotOf_.count(load->buffer->data.get()) == 0 ||
+                (load->buffer->data.get() == out && !at_f)) {
+                return false;
+            }
+            updates = updates || at_f;
+        }
+        return updates;
+    }
+
+    /**
+     * Structural match of a kRfactor region rooted at `op`, the
+     * Allocate of S: a float scratch of `lanes` elements around exactly
+     * L and F. L's body is one reduction R into S[l] (reduceOk; the
+     * lane guard sits inside R). F runs over the lanes from 0 and folds
+     * them: `B[q] = B[q] + S[r]`, in a Block whose only in-scope reduce
+     * variable is F's and whose init is `B[q] = v`. q and v read
+     * neither B nor S and do not vary along F.
+     */
+    bool
+    matchRfactor(const AllocateNode *op, LaneRegion *r) const
+    {
+        bytecode::ElemKind kind =
+            bytecode::elemKindOfDtype(op->buffer->dtype);
+        std::vector<Stmt> steps;
+        flatten(op->body, &steps);
+        if ((kind != bytecode::ElemKind::kF32 &&
+             kind != bytecode::ElemKind::kF64) ||
+            steps.size() != 2 || steps[0]->kind != StmtKind::kFor ||
+            steps[1]->kind != StmtKind::kFor) {
+            return false;
+        }
+        auto loop = static_cast<const ForNode *>(steps[0].get());
+        if (!laneLoopOk(loop, r) ||
+            constantExtent(op->buffer->shape) != r->lanes) {
+            return false;
+        }
+        r->kind = RegionKind::kRfactor;
+        r->acc = op->buffer;
+        r->accInside = true;
+        if (loop->body->kind != StmtKind::kFor || !reduceOk(loop->body, r)) {
+            return false;
+        }
+        r->reduce = static_cast<const ForNode *>(loop->body.get());
+        auto fold = static_cast<const ForNode *>(steps[1].get());
+        const VarNode *part = fold->loopVar.get();
+        if (!isZeroLiteral(fold->minValue) ||
+            fold->extent->kind != ExprKind::kIntImm ||
+            static_cast<const IntImmNode *>(fold->extent.get())->value !=
+                r->lanes ||
+            !matchUpdate(fold->body, r, [&](const VarNode *rv) {
+                return rv == part || vars_.count(rv) == 0;
+            })) {
+            return false;
+        }
+        const VarNode *out = r->out->buffer->data.get();
+        const Expr &q = r->out->indices[0];
+        // The index of `e` when it loads one element of `data`.
+        auto indexOf = [](const Expr &e, const VarNode *data) -> Expr {
+            auto load = static_cast<const BufferLoadNode *>(e.get());
+            return e->kind == ExprKind::kBufferLoad &&
+                           load->buffer->data.get() == data &&
+                           load->indices.size() == 1
+                       ? load->indices[0]
+                       : Expr();
+        };
+        auto invariant = [&](const Expr &e) {
+            return !mentions(e, part) && hoistable(e, r);
+        };
+        auto add = static_cast<const BinaryNode *>(r->out->value.get());
+        if (!r->out->buffer->dtype.isFloat() ||
+            r->out->value->kind != ExprKind::kAdd ||
+            indexOf(add->a, out) == nullptr ||
+            !structuralEqual(indexOf(add->a, out), q) ||
+            indexOf(add->b, r->acc->data.get()).get() != part ||
+            !invariant(q) ||
+            (r->outInit != nullptr && !invariant(r->outInit->value))) {
+            return false;
+        }
+        for (const BufferLoadNode *load : r->loads) {
+            if (slotOf_.count(load->buffer->data.get()) == 0 ||
+                load->buffer->data.get() == out) {
                 return false;
             }
         }
@@ -1799,10 +2138,10 @@ class Emitter
                        static_cast<bytecode::ElemKind>(plan.kind)) ==
                        buffer->dtype.isFloat();
         };
-        if (!typed(r.writeback->buffer)) {
+        if (!typed(r.out->buffer)) {
             return false;
         }
-        int written = slotFor(r.writeback->buffer);
+        int written = slotFor(r.out->buffer);
         std::set<int> read;
         for (const BufferLoadNode *load : r.loads) {
             if (!typed(load->buffer)) {
@@ -1829,20 +2168,24 @@ class Emitter
 
     /**
      * Emit a matched region twice: the fast version (below) and, as
-     * its fallback, the region's unchanged per-element-checked
-     * emission. Any failed check in the fast version jumps to the
-     * checked version before the fast version has written anything
-     * but its private array, so the checked version re-runs the whole
-     * region for this outer iteration and raises the VM's exact fault.
+     * its fallback, `checked_copy`, the region's unchanged
+     * per-element-checked emission (in which no region is sunk). Any
+     * failed check in the fast version jumps to the checked version
+     * before the fast version has written anything but its private
+     * array, so the checked version re-runs the whole region for this
+     * outer iteration and raises the VM's exact fault.
      */
+    template <typename Checked>
     void
-    emitSunkRegion(const LaneRegion &r)
+    emitSunkRegion(const LaneRegion &r, Checked checked_copy)
     {
         std::string id = std::to_string(regionCount_++);
         std::string outer = std::move(body_);
         body_.clear();
         ++indent_;
-        emitLoop(r.loop, [&] { emitStmt(r.loop->body); });
+        ++checkedDepth_;
+        checked_copy();
+        --checkedDepth_;
         std::string checked = std::move(body_);
         body_.clear();
         std::string flag;
@@ -1864,12 +2207,28 @@ class Emitter
         }
     }
 
+    /** `name` = the guard's active-lane count, at most the lane count. */
+    void
+    emitLaneCount(const LaneRegion &r, const std::string &name)
+    {
+        std::string lanes = intLiteral(r.lanes);
+        std::string a = r.guardA != nullptr ? emitI(r.guardA) : intLiteral(0);
+        std::string b = emitI(r.guardB);
+        line("int64_t " + name + " = " + b + " - " + a + ";");
+        line("if (" + name + " > " + lanes + ") { " + name + " = " + lanes +
+             "; }");
+    }
+
     /**
-     * The fast version: S becomes a per-lane array, R runs outermost
-     * and each of its updates of S becomes a branch-free loop over the
-     * active lanes. Lane-invariant loads are checked once per R
-     * iteration, each lane-dependent access by one compare of its
-     * first- and last-lane offsets, all ahead of the lane loop.
+     * The fast version: R (kInPlace: the nest) runs outermost and each
+     * of its stores becomes a branch-free loop over the active lanes.
+     * kPrivate and kRfactor keep one accumulator per lane in a C stack
+     * array standing in for S, check lane-invariant loads once per R
+     * iteration and each lane-dependent access by one compare of its
+     * first- and last-lane offsets, all ahead of the lane loop; then
+     * they write S back (kPrivate) or fold it (kRfactor). kInPlace
+     * updates its output directly, so it checks everything before the
+     * nest (emitPrecheck).
      */
     void
     emitFastRegion(const LaneRegion &r, const std::string &id,
@@ -1879,47 +2238,191 @@ class Emitter
              "): fast version */");
         slowLabel_ = "st_slow" + id;
         lane_.region = &r;
-        lane_.acc = r.acc->data.get();
-        lane_.array = "a" + id;
         const VarNode *lane = r.loop->loopVar.get();
         nonNegVars_.insert(lane);
-        std::string lanes = intLiteral(r.lanes);
         std::string skip = flag.empty() ? "" : "!" + flag;
-        if (r.guard != nullptr) {
+        lane_.count = intLiteral(r.lanes);
+        // kRfactor's guard may vary along R: its count is taken where
+        // the guard sits (emitReduce).
+        if (r.guard != nullptr && r.kind != RegionKind::kRfactor) {
             lane_.count = "m" + id;
-            std::string a =
-                r.guardA != nullptr ? emitI(r.guardA) : intLiteral(0);
-            std::string b = emitI(r.guardB);
-            line("int64_t " + lane_.count + " = " + b + " - " + a + ";");
-            line("if (" + lane_.count + " > " + lanes + ") { " +
-                 lane_.count + " = " + lanes + "; }");
+            emitLaneCount(r, lane_.count);
             skip = lane_.count + " <= 0" + (skip.empty() ? "" : " || ") +
                    skip;
-        } else {
-            lane_.count = lanes;
         }
         if (!skip.empty()) {
             line("if (" + skip + ") { goto " + slowLabel_ + "; }");
         }
-        const char *ctype =
-            cType(static_cast<int>(bytecode::elemKindOfDtype(r.acc->dtype)));
-        line(std::string(ctype) + " " + lane_.array + "[" +
-             std::to_string(r.lanes) + "] = {0};");
+        if (r.acc != nullptr) {
+            lane_.acc = r.acc->data.get();
+            lane_.array = "a" + id;
+            const char *ctype = cType(
+                static_cast<int>(bytecode::elemKindOfDtype(r.acc->dtype)));
+            line(std::string(ctype) + " " + lane_.array + "[" +
+                 std::to_string(r.lanes) + "] = {0};");
+        }
+        LaneRegion lane_only;
+        if (r.kind == RegionKind::kInPlace) {
+            emitPrecheck(r);
+            // Inside the nest, hoist what the lane leaves invariant.
+            lane_only = r;
+            lane_only.nest.clear();
+            lane_.region = &lane_only;
+            lane_.prechecked = true;
+        }
         if (r.init != nullptr) {
             emitLaneStore(r.init, false);
         }
         emitLoop(r.reduce, [&] { emitReduce(r.reduce->body); });
-        emitLaneStore(r.writeback, false);
-        if (!r.accInside) {
+        if (r.kind == RegionKind::kPrivate) {
+            emitLaneStore(r.out, false);
+        }
+        if (r.kind == RegionKind::kPrivate && !r.accInside) {
             // S outlives L: leave it holding the last lane's value.
             line("p" + slotTok(slotFor(r.acc)) + "[0] = " + lane_.array +
                  "[" + lane_.count + " - 1];");
+        }
+        if (r.kind == RegionKind::kRfactor) {
+            emitFold(r, id);
         }
         line("goto st_done" + id + ";");
         nonNegVars_.erase(lane);
         vars_.erase(lane);
         slowLabel_.clear();
         lane_ = LaneState();
+    }
+
+    /** "(const int64_t[]){a, b, ...}" */
+    static std::string
+    int64Array(const std::vector<std::string> &items)
+    {
+        std::string out = "(const int64_t[]){";
+        for (size_t i = 0; i < items.size(); ++i) {
+            out += (i == 0 ? "" : ", ") + items[i];
+        }
+        return out + "}";
+    }
+
+    /**
+     * Check the range of offset `off` into `buffer` over
+     * 0 <= dims[d] < extents[d], where `off` is affine in `dims`: its
+     * value at zero and its coefficient per variable bound it
+     * (st_box, overflow-checked, so a wrapped product cannot pass on
+     * its end points alone). Returns the coefficients' tokens and
+     * leaves `dims` bound to literals.
+     */
+    std::vector<std::string>
+    emitRangeCheck(const Buffer &buffer, const Expr &off,
+                   const std::vector<const VarNode *> &dims,
+                   const std::vector<std::string> &extents)
+    {
+        // The offset at one point: dims[unit] = 1, the others 0.
+        auto at = [&](size_t unit) {
+            for (size_t d = 0; d < dims.size(); ++d) {
+                vars_[dims[d]] = CVar{false, intLiteral(d == unit ? 1 : 0)};
+            }
+            return emitI(off);
+        };
+        std::string f0 = at(dims.size());
+        std::vector<std::string> coef;
+        for (size_t d = 0; d < dims.size(); ++d) {
+            std::string fd = at(d);
+            coef.push_back(tmp());
+            line("int64_t " + coef.back() + " = (int64_t)((uint64_t)" + fd +
+                 " - (uint64_t)" + f0 + ");");
+        }
+        std::string lo = tmp();
+        std::string hi = tmp();
+        line("int64_t " + lo + ", " + hi + ";");
+        line("if (!st_box(" + f0 + ", " + int64Array(coef) + ", " +
+             int64Array(extents) + ", " + std::to_string(dims.size()) +
+             ", &" + lo + ", &" + hi + ")) { goto " + slowLabel_ + "; }");
+        line("ST_SPAN(" + slotTok(slotFor(buffer)) + ", " + lo + ", " + hi +
+             ", " + slowLabel_ + ");");
+        return coef;
+    }
+
+    /**
+     * kInPlace's checks, all ahead of the first write: the
+     * region-invariant subtrees once (checked loads, kept for the
+     * nest), then every access's range over the active lanes and the
+     * nest, from its offset's value at zero and its coefficient per
+     * variable (st_box), and that no two lanes update one element of
+     * the output (st_radix).
+     */
+    void
+    emitPrecheck(const LaneRegion &r)
+    {
+        std::vector<const BufferLoadNode *> loads;
+        hoist(r.out->value, &loads);
+        hoist(r.out->indices[0], &loads);
+        std::vector<std::pair<const Buffer *, Expr>> ranges = {
+            {&r.out->buffer, r.out->indices[0]}};
+        if (r.outInit != nullptr) {
+            hoist(r.outInit->value, &loads);
+            hoist(r.outInit->indices[0], &loads);
+            ranges.emplace_back(&r.outInit->buffer, r.outInit->indices[0]);
+        }
+        for (const BufferLoadNode *load : loads) {
+            ranges.emplace_back(&load->buffer, load->indices[0]);
+        }
+        std::vector<const VarNode *> dims = {r.loop->loopVar.get()};
+        std::vector<std::string> extents = {lane_.count};
+        for (const ForNode *loop : r.nest) {
+            dims.push_back(loop->loopVar.get());
+            extents.push_back(intLiteral(
+                static_cast<const IntImmNode *>(loop->extent.get())->value));
+        }
+        for (size_t i = 0; i < ranges.size(); ++i) {
+            const auto &[buffer, off] = ranges[i];
+            bool seen = false;
+            for (size_t j = 0; j < i && !seen; ++j) {
+                seen = (*ranges[j].first)->data.get() ==
+                           (*buffer)->data.get() &&
+                       structuralEqual(ranges[j].second, off);
+            }
+            if (seen) {
+                continue;
+            }
+            std::vector<std::string> coef =
+                emitRangeCheck(*buffer, off, dims, extents);
+            if (i == 0) {
+                line("if (!st_radix(" + int64Array(coef) + ", " +
+                     int64Array(extents) + ", " +
+                     std::to_string(dims.size()) + ")) { goto " +
+                     slowLabel_ + "; }");
+            }
+        }
+        for (const VarNode *dim : dims) {
+            vars_.erase(dim);
+        }
+    }
+
+    /**
+     * kRfactor's F: q and B's element checked once, the element kept
+     * in a local of B's type (so every step rounds like a store) and
+     * stored once.
+     */
+    void
+    emitFold(const LaneRegion &r, const std::string &id)
+    {
+        int slot = slotFor(r.out->buffer);
+        std::string k = slotTok(slot);
+        std::string q = emitI(r.out->indices[0]);
+        line("ST_SPAN(" + k + ", " + q + ", " + q + ", " + slowLabel_ + ");");
+        std::string b = "b" + id;
+        std::string first = r.outInit != nullptr
+                                ? emitF(r.outInit->value)
+                                : "p" + k + "[" + q + "]";
+        line(std::string(cType(plans_[static_cast<size_t>(slot)].kind)) +
+             " " + b + " = " + first + ";");
+        std::string l = "l" + std::to_string(tmpCount_++);
+        line("for (int64_t " + l + " = 0; " + l + " < " +
+             intLiteral(r.lanes) + "; ++" + l + ") {");
+        line("    " + b + " = (double)" + b + " + (double)" + lane_.array +
+             "[" + l + "];");
+        line("}");
+        line("p" + k + "[" + q + "] = " + b + ";");
     }
 
     /** R's body in the fast version; see reduceOk for the shapes. */
@@ -1934,17 +2437,28 @@ class Emitter
           }
           case StmtKind::kIfThenElse: {
             auto op = static_cast<const IfThenElseNode *>(s.get());
-            if (laneDep(op->cond, *lane_.region)) {
+            if (!laneDep(op->cond, *lane_.region)) {
+                std::string c = emitI(op->cond);
+                line("if (" + c + " != 0) {");
+                ++indent_;
+                emitReduce(op->thenBody);
+                --indent_;
+                line("}");
+            } else if (lane_.region->kind != RegionKind::kRfactor) {
                 // The lane guard: every lane a loop visits passes it.
                 emitReduce(op->thenBody);
-                break;
+            } else {
+                // The lane guard at this R iteration.
+                std::string outer = lane_.count;
+                lane_.count = "m" + std::to_string(tmpCount_++);
+                emitLaneCount(*lane_.region, lane_.count);
+                line("if (" + lane_.count + " > 0) {");
+                ++indent_;
+                emitReduce(op->thenBody);
+                --indent_;
+                line("}");
+                lane_.count = outer;
             }
-            std::string c = emitI(op->cond);
-            line("if (" + c + " != 0) {");
-            ++indent_;
-            emitReduce(op->thenBody);
-            --indent_;
-            line("}");
             break;
           }
           case StmtKind::kBlock: {
@@ -1998,26 +2512,23 @@ class Emitter
         }
     }
 
-    /** Offset `off` evaluated at lane `at`. */
-    std::string
-    offsetAtLane(const Expr &off, const std::string &at)
-    {
-        vars_[lane_.region->loop->loopVar.get()] = CVar{false, at};
-        return emitI(off);
-    }
-
     /**
      * One store of the region as lane loop(s): its invariant subtrees
-     * and range checks first, then `for (l < active lanes)`. A hot
-     * store (an update inside R) gets a second copy of the loop with
-     * the literal lane count, taken when every lane is active, which
-     * the host compiler vectorizes without a scalar epilogue.
+     * and (unless prechecked) range checks first, then
+     * `for (l < active lanes)`. A hot store (an update inside R) gets a
+     * second copy of the loop with the literal lane count, taken when
+     * every lane is active, which the host compiler vectorizes without
+     * a scalar epilogue. A prechecked lane loop writes an output array
+     * in place; `ivdep` passes on what the checks proved, that its
+     * lanes touch distinct elements of an array it does not read
+     * otherwise.
      */
     void
     emitLaneStore(const BufferStoreNode *store, bool hot)
     {
         const LaneRegion &r = *lane_.region;
         bool to_acc = store->buffer->data.get() == lane_.acc;
+        auto outer = lane_.hoisted;
         std::vector<const BufferLoadNode *> lane_loads;
         hoist(store->value, &lane_loads);
         std::vector<std::pair<const Buffer *, Expr>> ranges;
@@ -2028,15 +2539,18 @@ class Emitter
             hoist(store->indices[0], &lane_loads);
             ranges.emplace_back(&store->buffer, store->indices[0]);
         }
-        std::string last = "(" + lane_.count + " - 1)";
         for (const auto &[buffer, off] : ranges) {
-            std::string lo = offsetAtLane(off, intLiteral(0));
-            std::string hi = laneDep(off, r) ? offsetAtLane(off, last) : lo;
-            line("ST_SPAN(" + slotTok(slotFor(*buffer)) + ", " + lo + ", " +
-                 hi + ", " + slowLabel_ + ");");
+            if (lane_.prechecked) {
+                break;
+            }
+            emitRangeCheck(*buffer, off, {r.loop->loopVar.get()},
+                           {lane_.count});
         }
         auto loop = [&](const std::string &bound) {
             std::string l = "l" + std::to_string(tmpCount_++);
+            if (lane_.prechecked) {
+                line("#pragma GCC ivdep");
+            }
             line("for (int64_t " + l + " = 0; " + l + " < " + bound +
                  "; ++" + l + ") {");
             ++indent_;
@@ -2065,7 +2579,7 @@ class Emitter
         } else {
             loop(lane_.count);
         }
-        lane_.hoisted.clear();
+        lane_.hoisted = std::move(outer);
     }
 
     PrimFunc func_;
@@ -2086,6 +2600,8 @@ class Emitter
     const ForNode *blockLoop_ = nullptr;
     /** Sunk regions emitted so far (names their labels and arrays). */
     int regionCount_ = 0;
+    /** Nesting depth of checked copies being emitted. */
+    int checkedDepth_ = 0;
     /** Entry declarations of the regions' no-alias flags. */
     std::string entryFlags_;
     /** Where a failed check jumps while a fast version is emitted;

@@ -20,24 +20,44 @@
  * through typed pointers hoisted to kernel entry with one inline
  * compare per access; all others go through the checked st_ld_* /
  * st_st_* helpers, so fault diagnostics match the VM's on both paths.
+ * A binary search (upper_bound / lower_bound) over an eligible int32
+ * or int64 slot checks `0 <= lo && hi <= numel` once and probes the
+ * typed pointer inline; any other search calls the checked st_search.
  *
- * Sunk lane regions. A constant-extent loop L (at least 4 lanes)
- * whose body initialises a one-element float scratch S, runs a
- * reduction R that writes only S with bounds independent of L's
- * variable, and writes S back with one store (optionally under a
- * lane-prefix guard `a + l < b`) is emitted twice. The fast version
- * keeps one accumulator per lane in a C stack array, runs R outermost
- * and each update of S as a branch-free loop over the active lanes;
- * lane-invariant loads are checked once per R iteration and each
- * lane-dependent access (affine in the lane) by one compare of its
- * first- and last-lane offsets, all ahead of the lane loop. Every
- * failed check, and a written array sharing memory with one the
- * region reads, jumps to the second copy: the region's unchanged
- * per-element-checked emission, which re-runs the region for that
- * outer iteration. The fast version writes nothing but its private
- * array before the write-back, so faults keep the VM's exact (slot,
- * offset) and partial output, and every output element is summed in
- * the same order, bitwise.
+ * Sunk lane regions. A constant-extent loop L (at least 4 lanes),
+ * optionally under a lane-prefix guard `a + l < b`, is emitted twice
+ * when it has one of three shapes:
+ *  - private: per lane, a one-element float scratch S, a reduction R
+ *    that writes only S with bounds independent of L's variable, and
+ *    one store writing S back (SpMM CSR, hyb, RGMS, GraphSAGE);
+ *  - rfactor: L reduces over R into S[l] of a lane-indexed scratch
+ *    (the lane guard inside R may depend on R's variables), and a
+ *    sibling serial loop folds S into one output element B[q] with q
+ *    lane-invariant (SDDMM);
+ *  - in place: per lane, a nest of constant-extent loops around one
+ *    update `C[f] = C[f] + ...` whose offsets are affine in the lane
+ *    and the nest variables, with an optional Block init of C[f]
+ *    under a lane-invariant condition (BSR).
+ * The fast version runs R (or the nest) outermost and each of its
+ * stores as a branch-free loop over the active lanes. Private and
+ * rfactor keep one accumulator per lane in a C stack array, check
+ * lane-invariant loads once per R iteration and each lane-dependent
+ * access (affine in the lane) by one compare of its first- and
+ * last-lane offsets, all ahead of the lane loop; rfactor folds the
+ * lanes in a local rounded to B's type at every step and stores B[q]
+ * once. In place checks, before its first write, the region-invariant
+ * loads and every access's whole range over the lanes and the nest
+ * (from its offset at zero and its per-variable coefficients,
+ * st_box), and that no two lanes update one element of C (a
+ * mixed-radix test on C's coefficients, st_radix), so each element is
+ * still updated in its original order. Every failed check, and a
+ * written array sharing memory with one the region reads, jumps to
+ * the second copy: the region's unchanged per-element-checked
+ * emission, which re-runs the region for that outer iteration. The
+ * fast version writes nothing but its private array before its
+ * checks have passed, so faults keep the VM's exact (slot, offset)
+ * and partial output, and every output element is computed in the
+ * same order, bitwise. Regions are not sunk inside a checked copy.
  *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
  * extern calls) raise UserError, exactly like bytecode::compile;

@@ -6,8 +6,9 @@
  * batched dispatch through one shared session, single-compile
  * behavior of an N-request batch, the warm path never probing the
  * launch grid through the interpreter, and untrusted inputs
- * (malformed CSR operands, aliased or missing SpMM arrays) raising
- * UserError on every tier before any output is written.
+ * (malformed CSR and BSR operands, relations shaped unlike their
+ * graph, aliased or missing SpMM arrays) raising UserError on every
+ * tier before any output is written.
  */
 
 #include <gtest/gtest.h>
@@ -908,6 +909,118 @@ TEST(EngineInputs, SingleRequestSpmmRejectsAliasedOrNullArrays)
             // The same session still serves a valid request.
             EXPECT_NO_THROW(shim.call(&b, &c)) << shim.name;
         }
+    }
+}
+
+/**
+ * A valid 12 x 12 BSR (block 4; block rows with two blocks, none and
+ * one) and its three malformed variants.
+ */
+format::Bsr
+validBsr()
+{
+    format::Bsr a;
+    a.rows = 12;
+    a.cols = 12;
+    a.blockSize = 4;
+    a.blockRows = 3;
+    a.blockCols = 3;
+    a.indptr = {0, 2, 2, 3};
+    a.indices = {0, 2, 1};
+    a.values = randomVector(3 * 16, 21);
+    return a;
+}
+
+std::vector<std::pair<std::string, format::Bsr>>
+malformedBsrVariants()
+{
+    std::vector<std::pair<std::string, format::Bsr>> out;
+    format::Bsr a = validBsr();
+    a.indices[1] = static_cast<int32_t>(a.blockCols);
+    out.emplace_back("block column == blockCols", a);
+    a = validBsr();
+    a.values.pop_back();
+    out.emplace_back("short values", a);
+    a = validBsr();
+    a.indptr = {0, 2, 1, 3};
+    out.emplace_back("decreasing indptr", a);
+    return out;
+}
+
+TEST(EngineInputs, MalformedBsrRaisesUserErrorOnEveryTier)
+{
+    int64_t feat = 4;
+    format::Bsr good = validBsr();
+    NDArray b = NDArray::fromFloat(
+        randomVector(good.blockCols * good.blockSize * feat, 22));
+    int64_t numel = good.blockRows * good.blockSize * feat;
+    for (runtime::Backend backend : kTiers) {
+        Engine eng(tierOptions(backend));
+        // Warm the valid structure first, so "short values" is a cache
+        // hit that only the per-dispatch check can catch.
+        NDArray out({numel}, ir::DataType::float32());
+        ASSERT_NO_THROW(eng.spmmBsr(good, feat, &b, &out));
+        for (const auto &[defect, bad] : malformedBsrVariants()) {
+            NDArray c = sentinel(numel);
+            NDArray before = c;  // copy
+            EXPECT_THROW(eng.spmmBsr(bad, feat, &b, &c), UserError)
+                << "spmmBsr accepted " << defect << " on tier "
+                << static_cast<int>(backend);
+            EXPECT_TRUE(bitwiseEqual(before, c))
+                << "spmmBsr wrote its output before rejecting " << defect;
+        }
+    }
+    format::Bsr bad = validBsr();
+    bad.indices[2] = -1;
+    try {
+        format::checkBsr(bad);
+        FAIL() << "negative block column accepted";
+    } catch (const UserError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("indices[2] = -1"), std::string::npos) << what;
+        EXPECT_NE(what.find("[0, blockCols = 3)"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(EngineInputs, RgcnRelationShapeMismatchRaisesUserError)
+{
+    int64_t feat = 4;
+    Csr square = validCsr();
+    square.rows = 4;
+    square.cols = 4;
+    square.indices = {0, 3, 2, 1, 3, 0};
+    std::sort(square.indices.begin() + 3, square.indices.end());
+    // Same rows, twice the columns: in-range columns 4-7 would read
+    // past a 4-row X.
+    Csr wide = square;
+    wide.cols = 8;
+    wide.indices = {0, 7, 6, 1, 3, 5};
+    format::RelationalCsr graph;
+    graph.rows = 4;
+    graph.cols = 4;
+    graph.relations = {square, wide};
+    NDArray x = NDArray::fromFloat(randomVector(graph.cols * feat, 23));
+    NDArray w = NDArray::fromFloat(randomVector(feat * feat, 24));
+    for (runtime::Backend backend : kTiers) {
+        Engine eng(tierOptions(backend));
+        NDArray y = sentinel(graph.rows * feat);
+        NDArray before = y;  // copy
+        try {
+            eng.rgcn(graph, feat, &x, &w, &y);
+            ADD_FAILURE() << "a 4 x 8 relation in a 4 x 4 graph accepted on "
+                             "tier "
+                          << static_cast<int>(backend);
+        } catch (const UserError &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("relation 1 is 4 x 8"), std::string::npos)
+                << what;
+        }
+        EXPECT_TRUE(bitwiseEqual(before, y));
+        // The same engine serves the graph once the relation fits.
+        graph.relations[1] = square;
+        EXPECT_NO_THROW(eng.rgcn(graph, feat, &x, &w, &y));
+        graph.relations[1] = wide;
     }
 }
 

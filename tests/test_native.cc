@@ -38,6 +38,7 @@
 #include "format/bsr.h"
 #include "format/hyb.h"
 #include "graph/generator.h"
+#include "graph/pruned_weights.h"
 #include "ir/stmt.h"
 #include "model/graphsage.h"
 #include "runtime/bytecode/compiler.h"
@@ -179,6 +180,91 @@ struct SpmmFixture
         return c;
     }
 };
+
+/** SDDMM bindings over one structure: B[p] = A[p] * <X[row p], Y[:, col p]>. */
+struct SddmmFixture
+{
+    Csr a;
+    int64_t feat;
+    NDArray indptr, indices, values, x, y;
+
+    SddmmFixture(Csr csr, int64_t feat_size, uint64_t seed)
+        : a(std::move(csr)),
+          feat(feat_size),
+          indptr(NDArray::fromInt32(a.indptr)),
+          indices(NDArray::fromInt32(a.indices)),
+          values(NDArray::fromFloat(a.values)),
+          x(NDArray::fromFloat(randomVector(a.rows * feat_size, seed))),
+          y(NDArray::fromFloat(randomVector(feat_size * a.cols, seed + 1)))
+    {
+    }
+
+    Bindings
+    bindings(NDArray *out) const
+    {
+        Bindings bound;
+        bound.scalars = {{"m", a.rows},
+                         {"n", a.cols},
+                         {"nnz", a.nnz()},
+                         {"feat_size", feat}};
+        bound.arrays = {{"J_indptr", const_cast<NDArray *>(&indptr)},
+                        {"J_indices", const_cast<NDArray *>(&indices)},
+                        {"A_data", const_cast<NDArray *>(&values)},
+                        {"X_data", const_cast<NDArray *>(&x)},
+                        {"Y_data", const_cast<NDArray *>(&y)},
+                        {"B_data", out}};
+        return bound;
+    }
+};
+
+/** SpMM-BSR bindings over one structure. */
+struct BsrFixture
+{
+    format::Bsr a;
+    int64_t feat;
+    NDArray indptr, indices, values, b;
+
+    BsrFixture(format::Bsr bsr, int64_t feat_size, uint64_t seed)
+        : a(std::move(bsr)),
+          feat(feat_size),
+          indptr(NDArray::fromInt32(a.indptr)),
+          indices(NDArray::fromInt32(a.indices)),
+          values(NDArray::fromFloat(a.values)),
+          b(NDArray::fromFloat(randomVector(
+              a.blockCols * a.blockSize * feat_size, seed)))
+    {
+    }
+
+    int64_t
+    outNumel() const
+    {
+        return a.blockRows * a.blockSize * feat;
+    }
+
+    Bindings
+    bindings(NDArray *c) const
+    {
+        Bindings bound;
+        bound.scalars = {{"mb", a.blockRows},
+                         {"nb", a.blockCols},
+                         {"nnzb", a.nnzBlocks()},
+                         {"feat_size", feat}};
+        bound.arrays = {{"JO_indptr", const_cast<NDArray *>(&indptr)},
+                        {"JO_indices", const_cast<NDArray *>(&indices)},
+                        {"A_data", const_cast<NDArray *>(&values)},
+                        {"B_data", const_cast<NDArray *>(&b)},
+                        {"C_data", c}};
+        return bound;
+    }
+};
+
+/** `numel` copies of a value no kernel here produces. */
+NDArray
+prefilled(int64_t numel)
+{
+    return NDArray::fromFloat(
+        std::vector<float>(static_cast<size_t>(numel), 7.25f));
+}
 
 /** Interpreter-engine reference for one engine-level spmmCsr dispatch. */
 NDArray
@@ -465,7 +551,9 @@ TEST(NativeEmitter, SinksLaneRegionsOfSpmmFamilies)
     {
         std::string tag;
         ir::PrimFunc func;
-        bool sunk;
+        /** Its regions keep per-lane accumulators (all but BSR's,
+         *  which updates C in place). */
+        bool laneArray;
     };
     std::vector<Family> families;
     families.push_back(
@@ -485,13 +573,13 @@ TEST(NativeEmitter, SinksLaneRegionsOfSpmmFamilies)
         /*fuse=*/true);
     ASSERT_TRUE(sage.fused) << sage.reason;
     families.push_back({"graphsage", sage.funcs[0], true});
-    // BSR accumulates into C itself and SDDMM's lanes are already
-    // outermost: both keep the checked emission only.
+    // BSR's lanes update C in place below the (ii, ji) block nest;
+    // SDDMM's reduce into a lane-indexed scratch folded afterwards.
     families.push_back(
         {"bsr", core::compileBsrSpmmFunc(2, 16, false), false});
     families.push_back(
         {"sddmm", core::compileSddmmFunc(16, core::SddmmSchedule()),
-         false});
+         true});
 
     for (const Family &family : families) {
         SCOPED_TRACE(family.tag);
@@ -499,11 +587,6 @@ TEST(NativeEmitter, SinksLaneRegionsOfSpmmFamilies)
             kernelBody(native::emitC(family.func, family.tag).source);
         std::vector<std::string> fast;
         std::string rest = withoutFastVersions(body, &fast);
-        if (!family.sunk) {
-            EXPECT_TRUE(fast.empty());
-            EXPECT_EQ(body.find("goto "), std::string::npos);
-            continue;
-        }
         ASSERT_FALSE(fast.empty());
         for (size_t i = 0; i < fast.size(); ++i) {
             // Every fast version falls back to its own checked version.
@@ -512,8 +595,9 @@ TEST(NativeEmitter, SinksLaneRegionsOfSpmmFamilies)
             EXPECT_NE(rest.find("st_slow" + id + ": {"), std::string::npos);
             EXPECT_NE(rest.find("st_done" + id + ":;"), std::string::npos);
             // The per-lane accumulator is a plain C array, not a slot.
-            EXPECT_NE(fast[i].find("float a" + id + "[16] = {0};"),
-                      std::string::npos)
+            EXPECT_EQ(fast[i].find("float a" + id + "[16] = {0};") !=
+                          std::string::npos,
+                      family.laneArray)
                 << fast[i];
             // The hot loop over all 16 lanes has no branch, check or
             // helper call: it is what the host compiler vectorizes.
@@ -640,6 +724,97 @@ TEST(NativeKernel, SunkSpmmOutputAliasingValuesMatchesVm)
     bindings.arrays["A_data"] = &out_vm;
     runtime::bytecode::execute(*program, bindings);
     bindings.arrays["A_data"] = &out_native;
+    bindings.arrays["C_data"] = &out_native;
+    native::execute(*kernel, bindings, runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+}
+
+TEST(NativeKernel, SddmmBitwiseMatchesInterpreter)
+{
+    CacheDirGuard cache;
+    // 16 fills the rfactor region's lanes in one chunk; 3 has two lanes
+    // (not sunk), 5 four lanes with a one-lane second chunk, 20 and 33
+    // a full and a partial chunk.
+    Csr graph = graph::powerLawGraph(300, 3000, 1.8, 81);
+    for (int64_t feat : {16, 3, 5, 20, 33}) {
+        SCOPED_TRACE(feat);
+        SddmmFixture fx(graph, feat, 82);
+        auto func = core::compileSddmmFunc(feat, core::SddmmSchedule());
+        auto kernel = native::compileNative(
+            func, "diff-sddmm-" + std::to_string(feat));
+        NDArray reference = prefilled(fx.a.nnz());
+        NDArray out_vm = prefilled(fx.a.nnz());
+        NDArray out_native = prefilled(fx.a.nnz());
+        runtime::runInterpreted(func, fx.bindings(&reference));
+        runtime::bytecode::execute(*runtime::bytecode::compile(func),
+                                   fx.bindings(&out_vm));
+        native::execute(*kernel, fx.bindings(&out_native),
+                        runtime::RunOptions());
+        EXPECT_TRUE(bitwiseEqual(reference, out_native));
+        EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+    }
+}
+
+TEST(NativeKernel, BsrBitwiseMatchesInterpreterAcrossBlockSizesAndWindows)
+{
+    CacheDirGuard cache;
+    // Block sizes 2, 4 and 8 over 16 lanes, and 4- and 16-lane
+    // schedules with a partial last chunk (feat 5 and 20).
+    const std::pair<int32_t, int64_t> shapes[] = {
+        {2, 16}, {4, 16}, {8, 16}, {4, 5}, {8, 20}};
+    for (const auto &[bs, feat] : shapes) {
+        SCOPED_TRACE(std::to_string(bs) + " x " + std::to_string(feat));
+        Csr weight = graph::blockPrunedWeight(64, 64, bs, 0.3, 0.6,
+                                              83 + static_cast<uint64_t>(bs));
+        BsrFixture fx(format::bsrFromCsr(weight, bs), feat, 84);
+        auto func = core::compileBsrSpmmFunc(bs, feat, false);
+        auto kernel = native::compileNative(
+            func, "diff-bsr-" + std::to_string(bs) + "-" +
+                      std::to_string(feat));
+        ASSERT_TRUE(kernel->hasWindow);
+        // Block rows without a block keep the prefill on every tier.
+        NDArray reference = prefilled(fx.outNumel());
+        NDArray out_vm = prefilled(fx.outNumel());
+        NDArray out_native = prefilled(fx.outNumel());
+        runtime::runInterpreted(func, fx.bindings(&reference));
+        runtime::bytecode::execute(*runtime::bytecode::compile(func),
+                                   fx.bindings(&out_vm));
+        native::execute(*kernel, fx.bindings(&out_native),
+                        runtime::RunOptions());
+        EXPECT_TRUE(bitwiseEqual(reference, out_native));
+        EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+
+        NDArray out_windows = prefilled(fx.outNumel());
+        Bindings bindings = fx.bindings(&out_windows);
+        int64_t extent = runtime::launchInfo(func, bindings).blockExtent;
+        for (int64_t begin = 0; begin < extent; begin += 3) {
+            runtime::RunOptions window;
+            window.blockBegin = begin;
+            window.blockEnd = std::min(begin + 3, extent);
+            native::execute(*kernel, bindings, window);
+        }
+        EXPECT_TRUE(bitwiseEqual(reference, out_windows));
+    }
+}
+
+TEST(NativeKernel, BsrOutputAliasingFeaturesMatchesVm)
+{
+    CacheDirGuard cache;
+    // C bound to B's array: a block row's updates change features the
+    // later block rows read, so the lanes must not run ahead. The
+    // entry no-alias flag sends every region to its checked version.
+    Csr weight = graph::blockPrunedWeight(64, 64, 8, 0.4, 0.7, 88);
+    BsrFixture fx(format::bsrFromCsr(weight, 8), 16, 89);
+    ASSERT_EQ(fx.b.numel(), fx.outNumel());
+    auto func = core::compileBsrSpmmFunc(8, 16, false);
+    auto kernel = native::compileNative(func, "bsr-alias");
+    std::vector<float> shared = randomVector(fx.outNumel(), 90);
+    NDArray out_vm = NDArray::fromFloat(shared);
+    NDArray out_native = NDArray::fromFloat(shared);
+    Bindings bindings = fx.bindings(&out_vm);
+    bindings.arrays["B_data"] = &out_vm;
+    runtime::bytecode::execute(*runtime::bytecode::compile(func), bindings);
+    bindings.arrays["B_data"] = &out_native;
     bindings.arrays["C_data"] = &out_native;
     native::execute(*kernel, bindings, runtime::RunOptions());
     EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
@@ -861,6 +1036,141 @@ TEST(NativeFaultParity, SunkRegionFaultsMatchVmExactly)
         fx.b = NDArray::fromFloat(short_b);
         check(fx, "offset 144 out of bounds for buffer 'B_data' (numel 141)");
     }
+}
+
+/**
+ * Runs `program` and `kernel` over `bind(out)` from identically
+ * prefilled outputs of `numel` elements: both raise `expected` and
+ * leave the same partial output.
+ */
+template <typename Bind>
+void
+expectVmFaultParity(const runtime::bytecode::Program &program,
+                    const native::NativeKernel &kernel, Bind bind,
+                    int64_t numel, const std::string &expected)
+{
+    NDArray out_vm = prefilled(numel);
+    NDArray out_native = prefilled(numel);
+    std::string vm_error = internalErrorOf(
+        [&] { runtime::bytecode::execute(program, bind(&out_vm)); });
+    std::string native_error = internalErrorOf([&] {
+        native::execute(kernel, bind(&out_native), runtime::RunOptions());
+    });
+    EXPECT_EQ(vm_error, expected);
+    EXPECT_EQ(native_error, vm_error);
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+}
+
+TEST(NativeFaultParity, SddmmAndBsrRegionFaultsMatchVmExactly)
+{
+    CacheDirGuard cache;
+    // SDDMM on a 6 x 10 CSR whose nonzero 4 names column 12 (n + 2):
+    // lanes 0-14 read Y inside its 160 elements, lane 15 reads
+    // 15 * 10 + 12. Nonzeros 0-3 are written before the fault.
+    {
+        Csr a;
+        a.rows = 6;
+        a.cols = 10;
+        a.indptr = {0, 2, 3, 6, 7, 7, 9};
+        a.indices = {0, 3, 1, 2, 12, 9, 4, 5, 9};
+        a.values = {0.5f, -1.25f, 2.0f, 0.75f, -0.5f, 1.5f, 3.0f, -2.0f, 0.25f};
+        SddmmFixture fx(a, 16, 85);
+        auto func = core::compileSddmmFunc(16, core::SddmmSchedule());
+        expectVmFaultParity(
+            *runtime::bytecode::compile(func),
+            *native::compileNative(func, "sddmm-fault"),
+            [&](NDArray *out) { return fx.bindings(out); }, a.nnz(),
+            "offset 162 out of bounds for buffer 'Y_data' (numel 160)");
+    }
+    // A lane coefficient whose product wraps: with n = 15^-1 mod 2^64,
+    // lane 15 reads Y at column + 1 (in range) but lane 1 at n +
+    // column. The span check must not pass on its end lanes alone.
+    {
+        uint64_t inverse = 1;
+        for (int i = 0; i < 6; ++i) {
+            inverse *= 2 - 15 * inverse;  // Newton step mod 2^64
+        }
+        SddmmFixture fx(Csr{1, 64, {0, 1}, {0}, {1.0f}}, 16, 88);
+        auto func = core::compileSddmmFunc(16, core::SddmmSchedule());
+        auto n = static_cast<int64_t>(inverse);
+        expectVmFaultParity(
+            *runtime::bytecode::compile(func),
+            *native::compileNative(func, "sddmm-wrap"),
+            [&](NDArray *out) {
+                Bindings bound = fx.bindings(out);
+                bound.scalars["n"] = n;
+                return bound;
+            },
+            1,
+            // diagnostic() cuts the VM's ICHECK_GE condition at its
+            // first ") ".
+            ">= (0)) (" + std::to_string(n) +
+                " vs 0) negative offset into Y_data");
+    }
+    // BSR (block 4, 16 lanes) whose last block names block column
+    // blockCols: its first B access is one past B's end, after the
+    // block row's earlier blocks and its own init have written C.
+    {
+        Csr weight = graph::blockPrunedWeight(16, 16, 4, 0.5, 0.8, 86);
+        format::Bsr bsr = format::bsrFromCsr(weight, 4);
+        ASSERT_GT(bsr.nnzBlocks(), 1);
+        bsr.indices.back() = static_cast<int32_t>(bsr.blockCols);
+        BsrFixture fx(bsr, 16, 87);
+        auto func = core::compileBsrSpmmFunc(4, 16, false);
+        int64_t numel = fx.b.numel();
+        expectVmFaultParity(
+            *runtime::bytecode::compile(func),
+            *native::compileNative(func, "bsr-fault"),
+            [&](NDArray *out) { return fx.bindings(out); }, fx.outNumel(),
+            "offset " + std::to_string(numel) +
+                " out of bounds for buffer 'B_data' (numel " +
+                std::to_string(numel) + ")");
+    }
+}
+
+TEST(NativeFaultParity, SearchSlotMisboundMatchesVm)
+{
+    CacheDirGuard cache;
+    SddmmFixture fx(graph::powerLawGraph(60, 400, 1.8, 91), 16, 92);
+    auto func = core::compileSddmmFunc(16, core::SddmmSchedule());
+    auto program = runtime::bytecode::compile(func);
+    auto kernel = native::compileNative(func, "search-misbound");
+    auto with = [&](NDArray *indptr) {
+        return [&fx, indptr](NDArray *out) {
+            Bindings bound = fx.bindings(out);
+            bound.arrays["J_indptr"] = indptr;
+            return bound;
+        };
+    };
+    // Float row pointers: the typed search is off and st_search raises
+    // the VM's class fault.
+    NDArray as_float = NDArray::fromFloat(
+        std::vector<float>(fx.a.indptr.begin(), fx.a.indptr.end()));
+    expectVmFaultParity(*program, *kernel, with(&as_float), fx.a.nnz(),
+                        "integer access to float buffer 'J_indptr'");
+    // One entry short: the search range [0, m + 1) passes its end.
+    NDArray short_indptr = NDArray::fromInt32(std::vector<int32_t>(
+        fx.a.indptr.begin(), fx.a.indptr.end() - 1));
+    expectVmFaultParity(
+        *program, *kernel, with(&short_indptr), fx.a.nnz(),
+        "binary search range out of bounds for buffer 'J_indptr' (at " +
+            std::to_string(fx.a.rows + 1) + ")");
+    // int64 row pointers search through the checked helper, bitwise.
+    std::vector<int64_t> wide(fx.a.indptr.begin(), fx.a.indptr.end());
+    NDArray as_int64({static_cast<int64_t>(wide.size())},
+                     ir::DataType::int64());
+    for (size_t i = 0; i < wide.size(); ++i) {
+        as_int64.setInt(static_cast<int64_t>(i), wide[i]);
+    }
+    NDArray out_vm = prefilled(fx.a.nnz());
+    NDArray out_native = prefilled(fx.a.nnz());
+    runtime::bytecode::execute(*program, with(&as_int64)(&out_vm));
+    native::execute(*kernel, with(&as_int64)(&out_native),
+                    runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(out_vm, out_native));
+    NDArray reference = prefilled(fx.a.nnz());
+    runtime::runInterpreted(func, fx.bindings(&reference));
+    EXPECT_TRUE(bitwiseEqual(reference, out_native));
 }
 
 TEST(NativeFaultParity, WrongDtypeBindingRaisesVmClassDiagnostic)
