@@ -745,12 +745,14 @@ main()
     uint64_t native_compiles = nstats.compiles;
     uint64_t native_disk_hits = nstats.diskHits;
     uint64_t native_fallbacks = nstats.fallbacks;
-    double native_compile_ms = 0.0;
+    // Summed per-kernel compile ms, and the promotions' wall time:
+    // an artifact's kernels compile concurrently, so the wall time is
+    // what set-up pays.
     observe::MetricsSnapshot nsnap = tier_engs[2]->metricsSnapshot();
-    auto hist = nsnap.histograms.find("native.compile_ms");
-    if (hist != nsnap.histograms.end()) {
-        native_compile_ms = hist->second.sumMs;
-    }
+    double native_compile_ms =
+        nsnap.histograms["native.compile_ms"].sumMs;
+    double native_promote_wall_ms =
+        nsnap.histograms["native.promote_ms"].sumMs;
     tier_engs.clear();
     std::nth_element(ref_round_ms.begin(),
                      ref_round_ms.begin() + ref_round_ms.size() / 2,
@@ -785,10 +787,11 @@ main()
                 "identical to the tiers: %s\n",
                 ref_median_ms, native_efficiency,
                 ref_equal ? "yes" : "NO");
-    std::printf("  native tier: %llu kernel compile(s) in %.1f ms, "
-                "%llu disk hit(s), %llu fallback(s)\n",
+    std::printf("  native tier: %llu kernel compile(s) in %.1f ms "
+                "(%.1f ms of promotion wall time), %llu disk hit(s), "
+                "%llu fallback(s)\n",
                 static_cast<unsigned long long>(native_compiles),
-                native_compile_ms,
+                native_compile_ms, native_promote_wall_ms,
                 static_cast<unsigned long long>(native_disk_hits),
                 static_cast<unsigned long long>(native_fallbacks));
 
@@ -869,10 +872,13 @@ main()
             "  \"native_compiles\": %llu,\n"
             "  \"native_disk_hits\": %llu,\n"
             "  \"native_compile_ms\": %.4f,\n"
+            "  \"native_promote_wall_ms\": %.4f,\n"
+            "  \"native_fallbacks\": %llu,\n"
             "  \"tiers\": {\n",
             static_cast<unsigned long long>(native_compiles),
             static_cast<unsigned long long>(native_disk_hits),
-            native_compile_ms);
+            native_compile_ms, native_promote_wall_ms,
+            static_cast<unsigned long long>(native_fallbacks));
         for (int f = 0; f < 3; ++f) {
             bool equal =
                 bitwiseEqual(tier_out[0][f], tier_out[1][f]) &&

@@ -11,7 +11,9 @@ native tier's warm req/s over the bytecode tier's ("tiers" object,
 experiment [11]) falls below <min_native_speedup> for spmm_csr,
 spmm_hyb or spmm_bsr, or when spmm_csr's native kernel efficiency
 (its tiers row's "native_efficiency": the same-semantics reference
-loop's ms over the native tier's) falls below <min_native_efficiency>.
+loop's ms over the native tier's) falls below <min_native_efficiency>,
+or when any kernel of the native tier fell back to bytecode
+("native_fallbacks" != 0).
 (A native tier
 that diverges bitwise already fails the bench's own exit status.) Malformed input — an unreadable or
 syntactically invalid JSON file, missing fields (including the
@@ -264,20 +266,34 @@ def main() -> int:
         compiles = int(data.get("native_compiles", 0))
         disk_hits = int(data.get("native_disk_hits", 0))
         compile_ms = float(data.get("native_compile_ms", 0.0))
+        promote_ms = float(data["native_promote_wall_ms"])
+        fallbacks = int(data["native_fallbacks"])
+    except KeyError as err:
+        return fail_input(f"{path} is missing field {err}")
     except (TypeError, ValueError) as err:
         return fail_input(
             f"{path} holds a malformed native counter: {err}"
         )
-    if compiles < 0 or disk_hits < 0 or compile_ms < 0.0:
+    if min(compiles, disk_hits, fallbacks) < 0 or min(
+        compile_ms, promote_ms
+    ) < 0.0:
         return fail_input(
             f"{path} holds negative native counters "
             f"({compiles} compiles, {disk_hits} disk hits, "
-            f"{compile_ms} ms)"
+            f"{fallbacks} fallbacks, {compile_ms} ms, {promote_ms} ms)"
         )
     print(
         f"native tier: {compiles} kernel compile(s) in "
-        f"{compile_ms:.1f} ms, {disk_hits} disk hit(s)"
+        f"{compile_ms:.1f} ms summed, {promote_ms:.1f} ms of promotion "
+        f"wall time, {disk_hits} disk hit(s), {fallbacks} fallback(s)"
     )
+    # A fallback leaves a kernel on bytecode, so the native rows above
+    # would quietly measure the bytecode tier.
+    if fallbacks != 0:
+        native_failures.append(
+            f"{fallbacks} native fallback(s): the native rows did not "
+            f"measure native kernels"
+        )
     # Warm-dispatch latency percentiles per op kind (experiment [9],
     # informational — the p50/p99 trajectory is tracked across
     # commits, no gate). Malformed histogram fields are still bad

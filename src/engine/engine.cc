@@ -722,21 +722,39 @@ checkValues(const format::Bsr &a)
 }
 
 /**
- * Validate SpMM requests and list their arrays. Outputs must be
- * distinct, and no output may alias any request's input: requests run
+ * O(1) element-count check of one request array: a short array would
+ * fault inside a kernel (InternalError), a long one hides a caller's
+ * shape bug.
+ */
+void
+checkNumel(const NDArray *array, const char *name, int64_t expected)
+{
+    USER_CHECK(array != nullptr)
+        << "request is missing its '" << name << "' array";
+    USER_CHECK(array->numel() == expected)
+        << "request array '" << name << "' has " << array->numel()
+        << " elements, the op needs " << expected;
+}
+
+/**
+ * Validate SpMM requests and list their arrays. Every B must hold
+ * `b_numel` elements and every C `c_numel` (null arrays are
+ * rejected). Outputs must be distinct,
+ * and no output may alias any request's input: requests run
  * concurrently, and every kernel reads B while it writes C, so a
  * write into another request's (or its own) feature matrix breaks
  * the bitwise contract. Sharing one read-only B across requests is
  * fine.
  */
 std::vector<RequestArrays>
-spmmRequests(const std::vector<SpmmRequest> &requests)
+spmmRequests(const std::vector<SpmmRequest> &requests, int64_t b_numel,
+             int64_t c_numel)
 {
     std::unordered_set<const NDArray *> outputs;
     outputs.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
-        USER_CHECK(request.b != nullptr && request.c != nullptr)
-            << "SpMM request is missing a feature or output array";
+        checkNumel(request.b, "B_data", b_numel);
+        checkNumel(request.c, "C_data", c_numel);
         USER_CHECK(outputs.insert(request.c).second)
             << "batched SpMM requests must bind distinct output "
                "arrays";
@@ -858,6 +876,15 @@ Engine::Engine(EngineOptions options)
     nativeDiskHits_ = metrics_->counter("native.disk_hits");
     nativeFallbacks_ = metrics_->counter("native.fallbacks");
     nativeCompileMs_ = metrics_->histogram("native.compile_ms");
+    nativePromoteMs_ = metrics_->histogram("native.promote_ms");
+    for (runtime::native::Fallback reason :
+         {runtime::native::Fallback::kUnsupported,
+          runtime::native::Fallback::kCcFailed,
+          runtime::native::Fallback::kTimeout}) {
+        nativeFallbackReasons_[static_cast<int>(reason)] =
+            metrics_->counter(std::string("native.fallbacks.") +
+                              runtime::native::fallbackName(reason));
+    }
     for (OpKind op :
          {OpKind::kSpmmCsr, OpKind::kSpmmHyb, OpKind::kSddmm,
           OpKind::kRgcnHyb, OpKind::kSpmmBsr, OpKind::kSpmmSrbcrs,
@@ -880,7 +907,10 @@ Engine::~Engine()
     // order, so the registry would be gone before pool_ joins its
     // workers. Wait for every launched promotion first. No dispatch
     // runs concurrently with destruction (usual dtor contract), so
-    // the future list cannot grow under us after the swap.
+    // the future list cannot grow under us after the swap. A running
+    // promotion kills its compilers on `closing_`, so none of these
+    // waits outlasts a compiler run.
+    closing_.store(true);
     std::vector<std::future<void>> pending;
     {
         std::lock_guard<std::mutex> lock(promoMu_);
@@ -1003,29 +1033,37 @@ Engine::promoteNow(const CacheKey &key,
 {
     SPARSETIR_TRACE_SCOPE1("native", "native.promote", "op",
                            static_cast<int64_t>(key.op));
-    std::vector<CompiledKernel *> kernels = artifact->nativeKernels();
+    auto start = std::chrono::steady_clock::now();
+    std::vector<CompiledKernel *> pending;
+    std::vector<runtime::native::NativeJob> jobs;
     int index = 0;
-    for (CompiledKernel *kernel : kernels) {
+    for (CompiledKernel *kernel : artifact->nativeKernels()) {
         int kernel_index = index++;
         if (kernel->native == nullptr ||
             kernel->native->get() != nullptr) {
             continue;
         }
-        std::string tag = nativeKeyTag(key, kernel_index);
-        auto start = std::chrono::steady_clock::now();
-        try {
-            auto native =
-                runtime::native::compileNative(kernel->func, tag);
-            nativeCompileMs_->record(msSince(start));
-            (native->diskHit ? nativeDiskHits_ : nativeCompiles_)
-                ->add(1);
-            kernel->native->set(std::move(native));
-        } catch (const UserError &) {
-            // Outside the native subset, or cc missing/failed: the
-            // kernel keeps serving bytecode.
-            nativeFallbacks_->add(1);
-        }
+        pending.push_back(kernel);
+        jobs.push_back({kernel->func, nativeKeyTag(key, kernel_index)});
     }
+    std::vector<runtime::native::NativeBuild> built =
+        runtime::native::compileNativeBatch(
+            jobs, runtime::native::kCcDeadline, &closing_);
+    for (size_t i = 0; i < built.size(); ++i) {
+        runtime::native::NativeBuild &build = built[i];
+        if (build.kernel == nullptr) {
+            // The kernel keeps serving bytecode.
+            nativeFallbacks_->add(1);
+            nativeFallbackReasons_[static_cast<int>(build.fallback)]
+                ->add(1);
+            continue;
+        }
+        nativeCompileMs_->record(build.ms);
+        (build.kernel->diskHit ? nativeDiskHits_ : nativeCompiles_)
+            ->add(1);
+        pending[i]->native->set(std::move(build.kernel));
+    }
+    nativePromoteMs_->record(msSince(start));
     nativePromotions_->add(1);
 }
 
@@ -1206,7 +1244,7 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
                                        feat, schedule);
                                },
                                "spmm_csr"),
-                    spmmRequests(requests));
+                    spmmRequests(requests, a.cols * feat, a.rows * feat));
 }
 
 BatchDispatchInfo
@@ -1230,7 +1268,8 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
     // Bucket kernels accumulate partial sums; the dispatch owns the
     // overwrite contract (C = A @ B).
     spec.zeroed = "C_data";
-    return dispatch(spec, spmmRequests(requests));
+    return dispatch(spec,
+                    spmmRequests(requests, a.cols * feat, a.rows * feat));
 }
 
 BatchDispatchInfo
@@ -1250,7 +1289,10 @@ Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
         return unitKernels(artifact);
     };
     spec.zeroed = "C_data";
-    return dispatch(spec, spmmRequests(requests));
+    const auto &scalars = prepared.bindings->view().scalars;
+    int64_t feat = scalars.at("feat_size");
+    return dispatch(spec, spmmRequests(requests, scalars.at("n") * feat,
+                                       scalars.at("m") * feat));
 }
 
 BatchDispatchInfo
@@ -1271,7 +1313,9 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
     // The kernel's init only zeroes block rows that hold a block; the
     // dispatch owns the overwrite contract for the empty ones.
     spec.zeroed = "C_data";
-    return dispatch(spec, spmmRequests(requests));
+    int64_t block_feat = static_cast<int64_t>(a.blockSize) * feat;
+    return dispatch(spec, spmmRequests(requests, a.blockCols * block_feat,
+                                       a.blockRows * block_feat));
 }
 
 BatchDispatchInfo
@@ -1286,7 +1330,8 @@ Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                                        a.tileHeight, a.groupSize, feat);
                                },
                                "srbcrs_spmm"),
-                    spmmRequests(requests));
+                    spmmRequests(requests, a.cols * feat,
+                                 a.stripes * a.tileHeight * feat));
 }
 
 DispatchInfo
@@ -1294,6 +1339,9 @@ Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
               NDArray *out, const core::SddmmSchedule &schedule)
 {
     checkValues(a);
+    checkNumel(x, "X_data", a.rows * feat);
+    checkNumel(y, "Y_data", feat * a.cols);
+    checkNumel(out, "B_data", a.nnz());
     KernelShape shape = csrShape(a, feat);
     return dispatch(kernelSpec(OpKind::kSddmm,
                                sddmmKey(a, feat, schedule), shape,
@@ -1328,6 +1376,9 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
             << ", the graph is " << graph.rows << " x " << graph.cols;
         checkValues(relation);
     }
+    checkNumel(x, "X_data", graph.cols * featIn);
+    checkNumel(w, "W_data", featIn * featOut);
+    checkNumel(y, "Y_data", graph.rows * featOut);
     DispatchSpec spec;
     spec.op = OpKind::kRgcnHyb;
     spec.key = rgcnKey(graph, featIn, featOut, config);

@@ -31,8 +31,9 @@
  * CSR and BSR operands are untrusted: the miss path validates each
  * new structure once (format::checkCsr, format::checkBsr) and every
  * dispatch checks the values length (and a relational graph's
- * relation shapes), so a malformed operand raises UserError before
- * any output is written.
+ * relation shapes) and the element count of every feature and output
+ * array, so a malformed operand raises UserError before any output
+ * is written.
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every
@@ -45,6 +46,7 @@
 #ifndef SPARSETIR_ENGINE_ENGINE_H_
 #define SPARSETIR_ENGINE_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -191,7 +193,8 @@ struct NativeStats
     uint64_t compiles = 0;
     /** Kernels served from a persisted .so (zero compiler runs). */
     uint64_t diskHits = 0;
-    /** Kernels that stayed on bytecode (emitter/cc bailed). */
+    /** Kernels that stayed on bytecode (emitter/cc bailed); split by
+     *  reason in `native.fallbacks.{unsupported,cc_failed,timeout}`. */
     uint64_t fallbacks = 0;
 };
 
@@ -281,7 +284,8 @@ class Engine
 
     /** Joins any in-flight background native promotions: their tasks
      *  capture `this` and record into the session registry, so they
-     *  must finish before members start destructing. */
+     *  must finish before members start destructing. Running compiler
+     *  processes are killed first, so this never waits on `cc`. */
     ~Engine();
 
     /** C = A @ B over the single-format CSR kernel. */
@@ -494,11 +498,13 @@ class Engine
                       const std::shared_ptr<Artifact> &artifact);
 
     /**
-     * Compile every kernel of `artifact` to the native tier and swap
-     * each result into its kernel's NativeBox. Emitter/compiler
-     * bails (UserError) count as fallbacks and leave the kernel on
-     * bytecode permanently — transparent degradation, never an error
-     * on the request path.
+     * Compile every kernel of `artifact` to the native tier as one
+     * batch (runtime::native::compileNativeBatch, its compilers
+     * running concurrently) and swap each result into its kernel's
+     * NativeBox. A kernel that falls back (unsupported, cc failed,
+     * timed out) counts under its reason and stays on bytecode
+     * permanently — transparent degradation, never an error on the
+     * request path.
      */
     void promoteNow(const CacheKey &key,
                     const std::shared_ptr<Artifact> &artifact);
@@ -538,7 +544,12 @@ class Engine
     observe::Counter *nativeCompiles_;
     observe::Counter *nativeDiskHits_;
     observe::Counter *nativeFallbacks_;
+    /** Indexed by runtime::native::Fallback; [0] (kNone) unused. */
+    observe::Counter *nativeFallbackReasons_[4] = {};
     observe::LatencyHistogram *nativeCompileMs_;
+    observe::LatencyHistogram *nativePromoteMs_;
+    /** Set by ~Engine: in-flight promotions kill their compilers. */
+    std::atomic<bool> closing_{false};
 };
 
 } // namespace engine

@@ -1,12 +1,18 @@
 #include "runtime/native/native_compiler.h"
 
 #include <dlfcn.h>
+#include <sched.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,9 +20,13 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
+
+extern char **environ;
 
 #include "observe/trace.h"
 #include "runtime/bytecode/program.h"
@@ -143,13 +153,6 @@ tryLoad(const std::string &so_path, const std::string &expected_meta,
     return handle;
 }
 
-std::mutex &
-cacheMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
 std::atomic<uint64_t> &
 compileCounter()
 {
@@ -164,7 +167,522 @@ tempCounter()
     return count;
 }
 
+// ---------------------------------------------------------------------
+// Compiler processes
+// ---------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
+/** CPUs this process may run on: its affinity mask, else the
+ *  hardware count. Bounds a batch's concurrent compiler runs. */
+int
+cpuCount()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0 &&
+        CPU_COUNT(&set) > 0) {
+        return CPU_COUNT(&set);
+    }
+    return static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/**
+ * Start `command` under `/bin/sh -c` as the leader of a new process
+ * group, so a kill reaches the compiler's own children (cc1, as, ld)
+ * too. Returns the pid, or -1 with `*error` set.
+ */
+pid_t
+spawnShell(const std::string &command, std::string *error)
+{
+    posix_spawnattr_t attr;
+    ::posix_spawnattr_init(&attr);
+    sigset_t none;
+    sigemptyset(&none);
+    ::posix_spawnattr_setsigmask(&attr, &none);
+    ::posix_spawnattr_setpgroup(&attr, 0);
+    ::posix_spawnattr_setflags(
+        &attr, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGMASK);
+    const char *argv[] = {"sh", "-c", command.c_str(), nullptr};
+    pid_t pid = -1;
+    int rc = ::posix_spawn(&pid, "/bin/sh", nullptr, &attr,
+                           const_cast<char *const *>(argv), environ);
+    ::posix_spawnattr_destroy(&attr);
+    if (rc != 0) {
+        *error = std::strerror(rc);
+        return -1;
+    }
+    return pid;
+}
+
+/** Non-blocking reap of `pid`: true once it exited, with `*status`
+ *  (-1 when its status was lost to another waiter). */
+bool
+reaped(pid_t pid, int *status)
+{
+    pid_t done = ::waitpid(pid, status, WNOHANG);
+    if (done == 0) {
+        return false;
+    }
+    if (done != pid) {
+        *status = -1;
+    }
+    return true;
+}
+
+/** SIGKILL `pid`'s process group and reap `pid`. */
+void
+killAndReap(pid_t pid)
+{
+    ::kill(-pid, SIGKILL);
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-path claims
+// ---------------------------------------------------------------------
+
+/** What the owner of a path leaves for the callers that waited. */
+struct Claim
+{
+    bool done = false;
+    Fallback fallback = Fallback::kNone;
+    std::string error;
+};
+
+/**
+ * The `.so` paths being built in this process. Its mutex is held only
+ * to claim, release or check a path, never across a compiler run.
+ */
+class InFlightTable
+{
+  public:
+    /** Claims `path`: null when the caller now owns it, else the
+     *  owner's claim to wait on. */
+    std::shared_ptr<Claim>
+    claim(const std::string &path)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto [it, inserted] = claims_.try_emplace(path);
+        if (inserted) {
+            it->second = std::make_shared<Claim>();
+            return nullptr;
+        }
+        return it->second;
+    }
+
+    void
+    release(const std::string &path, Fallback fallback,
+            const std::string &error)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = claims_.find(path);
+            it->second->done = true;
+            it->second->fallback = fallback;
+            it->second->error = error;
+            claims_.erase(it);
+        }
+        cv_.notify_all();
+    }
+
+    /** Waits for the owner of `claim` to release it; false when
+     *  `cancel` turned true first. */
+    bool
+    wait(const std::shared_ptr<Claim> &claim,
+         const std::atomic<bool> *cancel, Claim *outcome)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        while (!claim->done) {
+            if (cancel != nullptr && cancel->load()) {
+                return false;
+            }
+            cv_.wait_for(lock, std::chrono::milliseconds(10));
+        }
+        *outcome = *claim;
+        return true;
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::unordered_map<std::string, std::shared_ptr<Claim>> claims_;
+};
+
+InFlightTable &
+inFlight()
+{
+    static InFlightTable table;
+    return table;
+}
+
+// ---------------------------------------------------------------------
+// Batch
+// ---------------------------------------------------------------------
+
+/**
+ * A kernel whose path this batch claimed and builds. The destructor
+ * kills and reaps a still-running compiler, removes the temporaries
+ * and releases the claim, so no exit path leaks any of them.
+ */
+struct OwnedBuild
+{
+    size_t job = 0;
+    std::shared_ptr<NativeKernel> kernel;
+    std::string meta;
+    /** Temporaries: <stem>.c, <stem>.so, <stem>.err. */
+    std::string stem;
+    pid_t pid = -1;
+    Clock::time_point started;
+    bool released = false;
+
+    OwnedBuild() = default;
+    OwnedBuild(const OwnedBuild &) = delete;
+    OwnedBuild &operator=(const OwnedBuild &) = delete;
+
+    ~OwnedBuild()
+    {
+        if (pid > 0) {
+            killAndReap(pid);
+        }
+        removeTemporaries();
+        if (!released) {
+            inFlight().release(kernel->soPath, Fallback::kCcFailed,
+                               "the build of '" + kernel->name +
+                                   "' was abandoned");
+        }
+    }
+
+    void
+    removeTemporaries()
+    {
+        if (stem.empty()) {
+            return;
+        }
+        for (const char *ext : {".c", ".so", ".err"}) {
+            ::unlink((stem + ext).c_str());
+        }
+        stem.clear();
+    }
+};
+
+/** A kernel whose path another caller owns: loaded once it is done. */
+struct ForeignBuild
+{
+    size_t job = 0;
+    std::shared_ptr<NativeKernel> kernel;
+    std::string meta;
+    std::shared_ptr<Claim> claim;
+};
+
+class Batch
+{
+  public:
+    Batch(const std::vector<NativeJob> &jobs,
+          std::chrono::milliseconds deadline,
+          const std::atomic<bool> *cancel)
+        : jobs_(jobs), deadline_(deadline), cancel_(cancel),
+          results_(jobs.size()), dir_(nativeCacheDir())
+    {
+    }
+
+    std::vector<NativeBuild>
+    run()
+    {
+        // Emission overlaps the compiles already started; a drained
+        // batch owns no path, so waiting on foreign ones last cannot
+        // deadlock against a batch that waits on ours.
+        for (size_t i = 0; i < jobs_.size(); ++i) {
+            emit(i);
+            pump();
+        }
+        while (running_ > 0 || next_ < owned_.size()) {
+            pump();
+            if (running_ > 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            }
+        }
+        owned_.clear();
+        for (ForeignBuild &foreign : foreign_) {
+            loadForeign(foreign);
+        }
+        return std::move(results_);
+    }
+
+  private:
+    bool
+    cancelled() const
+    {
+        return cancel_ != nullptr && cancel_->load();
+    }
+
+    /** Emit job `i`, claim its path, and probe the disk cache; a miss
+     *  has its source written out and is queued. */
+    void
+    emit(size_t i)
+    {
+        auto start = Clock::now();
+        NativeBuild &result = results_[i];
+        EmitResult emitted;
+        try {
+            emitted = emitC(jobs_[i].func, jobs_[i].keyTag);
+        } catch (const UserError &e) {
+            result.fallback = Fallback::kUnsupported;
+            result.error = e.what();
+            result.ms = msSince(start);
+            return;
+        }
+        auto kernel = std::make_shared<NativeKernel>();
+        kernel->name = emitted.name;
+        kernel->slotNames = std::move(emitted.slotNames);
+        kernel->numParamSlots = emitted.numParamSlots;
+        kernel->scalarNames = std::move(emitted.scalarNames);
+        kernel->hasWindow = emitted.hasWindow;
+        kernel->soPath = dir_ + "/st_" +
+                         hex16(fnv1a(kCcFlags + emitted.source)) + ".so";
+        std::string meta = "sparsetir-native;abi=" +
+                           std::to_string(kNativeAbiVersion) +
+                           ";tag=" + jobs_[i].keyTag +
+                           ";kernel=" + kernel->name;
+
+        std::shared_ptr<Claim> owner = inFlight().claim(kernel->soPath);
+        if (owner != nullptr) {
+            foreign_.push_back({i, kernel, meta, owner});
+            result.ms = msSince(start);
+            return;
+        }
+        auto build = std::make_unique<OwnedBuild>();
+        build->job = i;
+        build->kernel = kernel;
+        build->meta = meta;
+        kernel->handle = tryLoad(kernel->soPath, meta, &kernel->entry);
+        if (kernel->handle != nullptr) {
+            kernel->diskHit = true;
+            resolve(build.get(), Fallback::kNone, "");
+            result.ms = msSince(start);
+            return;
+        }
+        try {
+            makeDirs(dir_);
+            build->stem = dir_ + "/st_build_" +
+                          std::to_string(static_cast<long>(::getpid())) +
+                          "_" + std::to_string(tempCounter().fetch_add(1));
+            std::ofstream out(build->stem + ".c", std::ios::binary);
+            out << emitted.source;
+            USER_CHECK(out.good()) << "cannot write native kernel source '"
+                                   << build->stem << ".c'";
+        } catch (const UserError &e) {
+            resolve(build.get(), Fallback::kCcFailed, e.what());
+            result.ms = msSince(start);
+            return;
+        }
+        result.ms = msSince(start);
+        owned_.push_back(std::move(build));
+    }
+
+    /** Reap finished or overdue compilers, then start queued ones up
+     *  to the CPU bound. */
+    void
+    pump()
+    {
+        bool cancel = cancelled();
+        for (size_t i = 0; i < next_; ++i) {
+            OwnedBuild &build = *owned_[i];
+            if (build.pid <= 0) {
+                continue;
+            }
+            int status = 0;
+            if (reaped(build.pid, &status)) {
+                install(&build, status, endRun(&build));
+            } else if (cancel || Clock::now() - build.started >= deadline_) {
+                killOverdue(&build, cancel);
+            }
+        }
+        static const int cpus = cpuCount();
+        while (next_ < owned_.size() && running_ < cpus) {
+            start(owned_[next_++].get());
+        }
+    }
+
+    void
+    start(OwnedBuild *build)
+    {
+        if (cancelled()) {
+            resolve(build, Fallback::kTimeout,
+                    "native compilation of '" + build->kernel->name +
+                        "' was cancelled");
+            return;
+        }
+        std::string command = compilerCommand() + kCcFlags + " -o '" +
+                              build->stem + ".so' '" + build->stem +
+                              ".c' 2>'" + build->stem + ".err'";
+        std::string error;
+        build->pid = spawnShell(command, &error);
+        if (build->pid < 0) {
+            resolve(build, Fallback::kCcFailed,
+                    "cannot start the native compiler: " + error);
+            return;
+        }
+        build->started = Clock::now();
+        running_ += 1;
+    }
+
+    /** Kill an overdue (or cancelled) compiler; the kernel times out. */
+    void
+    killOverdue(OwnedBuild *build, bool cancelled)
+    {
+        killAndReap(build->pid);
+        endRun(build);
+        std::string why =
+            cancelled ? "was cancelled"
+                      : "ran past its deadline of " +
+                            std::to_string(deadline_.count()) + " ms";
+        resolve(build, Fallback::kTimeout,
+                "native compilation of '" + build->kernel->name + "' " +
+                    why + " and was killed");
+    }
+
+    /** The reaped end of a compiler run: records its span, returns
+     *  its wall time. */
+    double
+    endRun(OwnedBuild *build)
+    {
+        build->pid = -1;
+        running_ -= 1;
+        double cc_ms = msSince(build->started);
+        observe::TraceRecorder &trace = observe::TraceRecorder::global();
+        if (trace.enabled()) {
+            observe::TraceEvent event;
+            event.cat = "native";
+            event.name = "native.compile";
+            event.durNs = static_cast<int64_t>(cc_ms * 1e6);
+            event.startNs = observe::TraceRecorder::nowNs() - event.durNs;
+            trace.record(event);
+        }
+        return cc_ms;
+    }
+
+    /** A compiler exited with `status` (-1: lost): install and load
+     *  its artifact if it succeeded. */
+    void
+    install(OwnedBuild *build, int status, double cc_ms)
+    {
+        auto start = Clock::now();
+        NativeKernel &kernel = *build->kernel;
+        std::string cc_err = readFile(build->stem + ".err");
+        std::string tmp_so = build->stem + ".so";
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+            resolve(build, Fallback::kCcFailed,
+                    "native compilation of '" + kernel.name +
+                        "' failed (command: " + compilerCommand() +
+                        kCcFlags + "): " + cc_err);
+            return;
+        }
+        compileCounter().fetch_add(1, std::memory_order_relaxed);
+        // Atomic install: concurrent processes either see the old file
+        // or the complete new one, never a partial write.
+        if (std::rename(tmp_so.c_str(), kernel.soPath.c_str()) != 0) {
+            resolve(build, Fallback::kCcFailed,
+                    "cannot install native artifact '" + kernel.soPath +
+                        "': " + std::strerror(errno));
+            return;
+        }
+        kernel.handle = tryLoad(kernel.soPath, build->meta, &kernel.entry);
+        ICHECK(kernel.handle != nullptr)
+            << "freshly built native artifact '" << kernel.soPath
+            << "' failed to load";
+        results_[build->job].ms += cc_ms + msSince(start);
+        resolve(build, Fallback::kNone, "");
+    }
+
+    /** Settle an owned kernel: its result, temporaries and claim. */
+    void
+    resolve(OwnedBuild *build, Fallback fallback, const std::string &error)
+    {
+        NativeBuild &result = results_[build->job];
+        if (fallback == Fallback::kNone) {
+            result.kernel = build->kernel;
+        } else {
+            result.fallback = fallback;
+            result.error = error;
+        }
+        build->removeTemporaries();
+        inFlight().release(build->kernel->soPath, fallback, error);
+        build->released = true;
+    }
+
+    void
+    loadForeign(ForeignBuild &foreign)
+    {
+        auto start = Clock::now();
+        NativeBuild &result = results_[foreign.job];
+        Claim outcome;
+        if (!inFlight().wait(foreign.claim, cancel_, &outcome)) {
+            result.fallback = Fallback::kTimeout;
+            result.error = "native compilation cancelled";
+            return;
+        }
+        NativeKernel &kernel = *foreign.kernel;
+        if (outcome.fallback == Fallback::kNone) {
+            kernel.handle =
+                tryLoad(kernel.soPath, foreign.meta, &kernel.entry);
+            if (kernel.handle == nullptr) {
+                outcome.fallback = Fallback::kCcFailed;
+                outcome.error = "native artifact '" + kernel.soPath +
+                                "' built by a concurrent caller failed "
+                                "to load";
+            }
+        }
+        if (outcome.fallback == Fallback::kNone) {
+            kernel.diskHit = true;
+            result.kernel = foreign.kernel;
+        } else {
+            result.fallback = outcome.fallback;
+            result.error = outcome.error;
+        }
+        result.ms += msSince(start);
+    }
+
+    const std::vector<NativeJob> &jobs_;
+    const std::chrono::milliseconds deadline_;
+    const std::atomic<bool> *cancel_;
+    std::vector<NativeBuild> results_;
+    const std::string dir_;
+    /** Owned misses in emit order; [0, next_) have been started. */
+    std::vector<std::unique_ptr<OwnedBuild>> owned_;
+    size_t next_ = 0;
+    int running_ = 0;
+    std::vector<ForeignBuild> foreign_;
+};
+
 } // namespace
+
+const char *
+fallbackName(Fallback reason)
+{
+    switch (reason) {
+      case Fallback::kNone:
+        return "none";
+      case Fallback::kUnsupported:
+        return "unsupported";
+      case Fallback::kCcFailed:
+        return "cc_failed";
+      case Fallback::kTimeout:
+        return "timeout";
+    }
+    return "none";
+}
 
 std::string
 nativeCacheDir()
@@ -190,86 +708,23 @@ nativeEnabledByEnv()
            std::string(value) != "0";
 }
 
+std::vector<NativeBuild>
+compileNativeBatch(const std::vector<NativeJob> &jobs,
+                   std::chrono::milliseconds deadline,
+                   const std::atomic<bool> *cancel)
+{
+    return Batch(jobs, deadline, cancel).run();
+}
+
 std::shared_ptr<const NativeKernel>
 compileNative(const ir::PrimFunc &func, const std::string &key_tag)
 {
-    EmitResult emitted = emitC(func, key_tag);
-    std::string expected_meta =
-        "sparsetir-native;abi=" + std::to_string(kNativeAbiVersion) +
-        ";tag=" + key_tag + ";kernel=" + emitted.name;
-    std::string dir = nativeCacheDir();
-    std::string so_path =
-        dir + "/st_" + hex16(fnv1a(kCcFlags + emitted.source)) + ".so";
-
-    auto kernel = std::make_shared<NativeKernel>();
-    kernel->name = emitted.name;
-    kernel->slotNames = std::move(emitted.slotNames);
-    kernel->numParamSlots = emitted.numParamSlots;
-    kernel->scalarNames = std::move(emitted.scalarNames);
-    kernel->hasWindow = emitted.hasWindow;
-    kernel->soPath = so_path;
-
-    // One process-wide lock around probe-or-build: racing promotions
-    // of the same kernel produce exactly one compiler invocation, and
-    // the loser loads the winner's installed artifact.
-    std::lock_guard<std::mutex> lock(cacheMutex());
-
-    kernel->entry = nullptr;
-    kernel->handle = tryLoad(so_path, expected_meta, &kernel->entry);
-    if (kernel->handle != nullptr) {
-        kernel->diskHit = true;
-        return kernel;
+    std::vector<NativeBuild> built =
+        compileNativeBatch({NativeJob{func, key_tag}}, kCcDeadline);
+    if (built[0].kernel == nullptr) {
+        throw UserError(built[0].error);
     }
-    // Not loadable: either absent or corrupted/stale. Drop any stale
-    // file so the rename below installs a fresh artifact.
-    ::unlink(so_path.c_str());
-    makeDirs(dir);
-
-    uint64_t tag = tempCounter().fetch_add(1);
-    std::string stem = dir + "/st_build_" +
-                       std::to_string(static_cast<long>(::getpid())) +
-                       "_" + std::to_string(tag);
-    std::string c_path = stem + ".c";
-    std::string tmp_so = stem + ".so";
-    std::string err_path = stem + ".err";
-    {
-        std::ofstream out(c_path, std::ios::binary);
-        out << emitted.source;
-        USER_CHECK(out.good()) << "cannot write native kernel source '"
-                               << c_path << "'";
-    }
-
-    std::string command = compilerCommand() +
-                          kCcFlags + " -o '" + tmp_so + "' '" +
-                          c_path + "' 2>'" + err_path + "'";
-    int rc;
-    {
-        SPARSETIR_TRACE_SCOPE("native", "native.compile");
-        rc = std::system(command.c_str());
-    }
-    std::string cc_err = readFile(err_path);
-    ::unlink(c_path.c_str());
-    ::unlink(err_path.c_str());
-    if (rc != 0) {
-        ::unlink(tmp_so.c_str());
-        USER_CHECK(false)
-            << "native compilation of '" << kernel->name
-            << "' failed (command: " << compilerCommand()
-            << kCcFlags << "): " << cc_err;
-    }
-    compileCounter().fetch_add(1, std::memory_order_relaxed);
-    // Atomic install: concurrent processes either see the old file or
-    // the complete new one, never a partial write.
-    USER_CHECK(std::rename(tmp_so.c_str(), so_path.c_str()) == 0)
-        << "cannot install native artifact '" << so_path
-        << "': " << std::strerror(errno);
-
-    kernel->handle = tryLoad(so_path, expected_meta, &kernel->entry);
-    ICHECK(kernel->handle != nullptr)
-        << "freshly built native artifact '" << so_path
-        << "' failed to load";
-    kernel->diskHit = false;
-    return kernel;
+    return built[0].kernel;
 }
 
 void

@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -908,6 +910,115 @@ TEST(EngineInputs, SingleRequestSpmmRejectsAliasedOrNullArrays)
             EXPECT_THROW(shim.call(&b, nullptr), UserError) << shim.name;
             // The same session still serves a valid request.
             EXPECT_NO_THROW(shim.call(&b, &c)) << shim.name;
+        }
+    }
+}
+
+// Every SpMM, SDDMM and RGCN entry point checks the element count of
+// each feature and output array before it runs: an array 5 elements
+// short raises the same UserError, naming the array, on every tier,
+// and the output is left untouched.
+TEST(EngineInputs, ShortRequestArraysRaiseUserErrorNamingTheArray)
+{
+    Csr a = randomCsr(24, 24, 0.25, 52);
+    format::Bsr bsr = format::bsrFromCsr(a, 4);
+    format::SrBcrs sr = format::srbcrsFromCsr(a, 4, 2);
+    format::RelationalCsr graph;
+    graph.rows = a.rows;
+    graph.cols = a.cols;
+    graph.relations = {a, a};
+    const int64_t feat = 4;
+    const int64_t block_feat = bsr.blockSize * feat;
+    /** One entry point over its arrays; the last one is the output. */
+    struct Case
+    {
+        const char *entry;
+        std::vector<std::pair<const char *, int64_t>> arrays;
+        std::function<void(Engine &, std::vector<NDArray> &)> call;
+    };
+    const Case cases[] = {
+        {"spmmCsr",
+         {{"B_data", a.cols * feat}, {"C_data", a.rows * feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.spmmCsr(a, feat, &v[0], &v[1]);
+         }},
+        {"spmmHyb",
+         {{"B_data", a.cols * feat}, {"C_data", a.rows * feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.spmmHyb(a, feat, &v[0], &v[1]);
+         }},
+        {"spmmHybBatch(prepared)",
+         {{"B_data", a.cols * feat}, {"C_data", a.rows * feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.spmmHybBatch(eng.prepareSpmmHyb(a, feat), {{&v[0], &v[1]}});
+         }},
+        {"spmmBsr",
+         {{"B_data", bsr.blockCols * block_feat},
+          {"C_data", bsr.blockRows * block_feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.spmmBsr(bsr, feat, &v[0], &v[1]);
+         }},
+        {"spmmSrbcrs",
+         {{"B_data", sr.cols * feat},
+          {"C_data", sr.stripes * sr.tileHeight * feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.spmmSrbcrs(sr, feat, &v[0], &v[1]);
+         }},
+        {"sddmm",
+         {{"X_data", a.rows * feat}, {"Y_data", feat * a.cols},
+          {"B_data", a.nnz()}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.sddmm(a, feat, &v[0], &v[1], &v[2]);
+         }},
+        {"rgcn",
+         {{"X_data", graph.cols * feat}, {"W_data", feat * feat},
+          {"Y_data", graph.rows * feat}},
+         [&](Engine &eng, std::vector<NDArray> &v) {
+             eng.rgcn(graph, feat, &v[0], &v[1], &v[2]);
+         }},
+    };
+    // (entry, array) -> the message the first tier raised.
+    std::map<std::string, std::string> messages;
+    for (runtime::Backend backend : kTiers) {
+        Engine eng(tierOptions(backend));
+        for (const Case &c : cases) {
+            for (size_t k = 0; k < c.arrays.size(); ++k) {
+                std::vector<NDArray> arrays;
+                for (size_t j = 0; j < c.arrays.size(); ++j) {
+                    arrays.push_back(sentinel(c.arrays[j].second -
+                                              (j == k ? 5 : 0)));
+                }
+                NDArray before = arrays.back();  // copy
+                std::string what = "(no UserError)";
+                try {
+                    c.call(eng, arrays);
+                } catch (const UserError &e) {
+                    what = e.what();
+                }
+                std::string expected =
+                    std::string("'") + c.arrays[k].first + "' has " +
+                    std::to_string(c.arrays[k].second - 5) +
+                    " elements, the op needs " +
+                    std::to_string(c.arrays[k].second);
+                EXPECT_NE(what.find(expected), std::string::npos)
+                    << c.entry << " on tier " << static_cast<int>(backend)
+                    << ": " << what;
+                EXPECT_TRUE(bitwiseEqual(before, arrays.back()))
+                    << c.entry << " wrote its output before rejecting a "
+                    << "short " << c.arrays[k].first;
+                std::string key =
+                    std::string(c.entry) + "/" + c.arrays[k].first;
+                auto [it, first] = messages.emplace(key, what);
+                EXPECT_EQ(it->second, what)
+                    << key << " differs on tier "
+                    << static_cast<int>(backend);
+            }
+            // The same session still serves correctly sized arrays.
+            std::vector<NDArray> arrays;
+            for (const auto &array : c.arrays) {
+                arrays.push_back(sentinel(array.second));
+            }
+            EXPECT_NO_THROW(c.call(eng, arrays)) << c.entry;
         }
     }
 }

@@ -8,25 +8,35 @@
  * the VM when a sunk region falls back to its checked copy, the
  * persistent artifact cache (warm start across engine restarts with
  * zero recompiles, corrupted and stale artifacts rejected and
- * rebuilt), the engine's promotion policy (threshold crossing, one
- * compile under 8-thread contention, atomic swap), graceful
+ * rebuilt), the compiler processes (fake compilers written as shell
+ * scripts through SPARSETIR_NATIVE_CC: a hung one is killed at its
+ * deadline with no process left behind, kernels of different callers
+ * and of one hyb artifact compile concurrently), the engine's
+ * promotion policy (threshold crossing, one compile under 8-thread
+ * contention, atomic swap, ~Engine killing a hung compiler), graceful
  * degradation to bytecode when the C compiler is missing, and BSR's
  * overwrite contract on every tier.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <map>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +51,7 @@
 #include "graph/pruned_weights.h"
 #include "ir/stmt.h"
 #include "model/graphsage.h"
+#include "observe/metrics.h"
 #include "runtime/bytecode/compiler.h"
 #include "runtime/bytecode/vm.h"
 #include "runtime/interpreter.h"
@@ -129,6 +140,42 @@ waitFor(Pred pred, int timeout_ms = 30000)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return pred();
+}
+
+/** Writes an executable shell script (a fake compiler) to `path`. */
+void
+writeScript(const std::string &path, const std::string &body)
+{
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "#!/bin/sh\n" << body;
+    }
+    ASSERT_EQ(::chmod(path.c_str(), 0755), 0) << path;
+}
+
+bool
+fileExists(const std::string &path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+/** True when this process has no child, running or unreaped. */
+bool
+noChildProcess()
+{
+    errno = 0;
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+/** CPUs this process may run on. */
+int
+affinityCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    return ::sched_getaffinity(0, sizeof(set), &set) == 0
+               ? CPU_COUNT(&set)
+               : 1;
 }
 
 /** SpMM-CSR bindings over one structure (the shared fixture shape). */
@@ -325,16 +372,39 @@ macroSlots(const std::string &body, const std::string &macro)
 }
 
 /**
- * An InternalError's diagnostic without its throw site and failed
- * condition ("file:line: Internal check failed: (cond) "), which
- * differ between backends that raise the same diagnostic.
+ * An InternalError's diagnostic without its throw site, failed
+ * condition and compared values ("file:line: Internal check failed:
+ * (cond) (a vs b) "), which differ between backends that raise the
+ * same diagnostic. The condition ends at its matching parenthesis.
  */
 std::string
 diagnostic(const std::string &what)
 {
-    size_t cond = what.find("Internal check failed: (");
-    size_t end = cond == std::string::npos ? cond : what.find(") ", cond);
-    return end == std::string::npos ? what : what.substr(end + 2);
+    const std::string marker = "Internal check failed: ";
+    size_t pos = what.find(marker);
+    if (pos == std::string::npos) {
+        return what;
+    }
+    pos += marker.size();
+    /** Past the parenthesized group at `at` and its space. */
+    auto skipGroup = [&](size_t at) {
+        int depth = 0;
+        for (size_t i = at; i < what.size(); ++i) {
+            depth += what[i] == '(' ? 1 : what[i] == ')' ? -1 : 0;
+            if (depth == 0) {
+                return i + 2;
+            }
+        }
+        return what.size();
+    };
+    pos = skipGroup(pos);
+    size_t close = what.find(") ", pos);
+    if (pos < what.size() && what[pos] == '(' &&
+        close != std::string::npos &&
+        what.find(" vs ", pos) < close) {
+        pos = skipGroup(pos);
+    }
+    return pos < what.size() ? what.substr(pos) : std::string();
 }
 
 /** Runs `fn`, returning the InternalError diagnostic it raised. */
@@ -1101,11 +1171,7 @@ TEST(NativeFaultParity, SddmmAndBsrRegionFaultsMatchVmExactly)
                 bound.scalars["n"] = n;
                 return bound;
             },
-            1,
-            // diagnostic() cuts the VM's ICHECK_GE condition at its
-            // first ") ".
-            ">= (0)) (" + std::to_string(n) +
-                " vs 0) negative offset into Y_data");
+            1, "negative offset into Y_data");
     }
     // BSR (block 4, 16 lanes) whose last block names block column
     // blockCols: its first B access is one past B's end, after the
@@ -1376,8 +1442,8 @@ TEST(NativeCompiler, ExactlyOneCompileUnderContention)
         thread.join();
     }
 
-    // The process-wide cache lock serializes probe-or-build: one
-    // thread compiles, the other seven load its installed artifact.
+    // The first thread to claim the artifact's path compiles; the
+    // other seven wait on its claim and load the installed artifact.
     EXPECT_EQ(native::nativeCompileCount(), before + 1);
     int misses = 0;
     for (const auto &kernel : kernels) {
@@ -1397,6 +1463,98 @@ TEST(NativeCompiler, MissingCompilerFailsAsUserError)
     uint64_t before = native::nativeCompileCount();
     EXPECT_THROW(native::compileNative(func, "no-cc"), UserError);
     EXPECT_EQ(native::nativeCompileCount(), before);
+}
+
+// A compiler that never returns is killed at the batch's deadline:
+// the kernel falls back with reason timeout, and neither the shell nor
+// the compiler's own children survive the call.
+TEST(NativeCompiler, HungCompilerTimesOutAndIsReaped)
+{
+    CacheDirGuard cache;
+    const std::string dir = cache.dir();
+    writeScript(dir + "/hung-cc.sh",
+                "sleep 1000 &\n"
+                "echo $! > '" + dir + "/sleep.pid'\n"
+                "wait\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC", (dir + "/hung-cc.sh").c_str());
+    auto func = core::compileSpmmCsrFunc(8, core::SpmmSchedule());
+    uint64_t before = native::nativeCompileCount();
+
+    auto start = std::chrono::steady_clock::now();
+    std::vector<native::NativeBuild> built = native::compileNativeBatch(
+        {{func, "hung"}}, std::chrono::milliseconds(300));
+    auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(built.size(), 1u);
+    EXPECT_EQ(built[0].kernel, nullptr);
+    EXPECT_EQ(built[0].fallback, native::Fallback::kTimeout);
+    EXPECT_STREQ(native::fallbackName(built[0].fallback), "timeout");
+    EXPECT_NE(built[0].error.find("deadline of 300 ms"), std::string::npos)
+        << built[0].error;
+    EXPECT_LT(elapsed, std::chrono::seconds(10));
+    EXPECT_EQ(native::nativeCompileCount(), before);
+    EXPECT_TRUE(noChildProcess());
+    // The compiler's own child went with the process group: gone, or
+    // a zombie waiting for its new parent to reap it.
+    std::ifstream pid_file(dir + "/sleep.pid");
+    std::string pid;
+    ASSERT_TRUE(pid_file >> pid);
+    EXPECT_TRUE(waitFor(
+        [&] {
+            std::ifstream stat("/proc/" + pid + "/stat");
+            std::string line;
+            if (!std::getline(stat, line)) {
+                return true;
+            }
+            size_t close = line.rfind(')');
+            return close != std::string::npos && close + 2 < line.size() &&
+                   (line[close + 2] == 'Z' || line[close + 2] == 'X');
+        },
+        5000))
+        << "the compiler's child " << pid << " outlived its deadline";
+}
+
+// A batch bakes no process-wide lock: a kernel whose compiler cannot
+// finish until another kernel's compiler has started still completes.
+TEST(NativeCompiler, DifferentKernelsCompileWithoutWaitingOnEachOther)
+{
+    CacheDirGuard cache;
+    const std::string dir = cache.dir();
+    writeScript(dir + "/gated-cc.sh",
+                "for src; do :; done\n"
+                "if grep -q 'tag=progress-a;' \"$src\"; then\n"
+                "  touch '" + dir + "/a.started'\n"
+                "  i=0\n"
+                "  while [ ! -e '" + dir + "/b.started' ]; do\n"
+                "    i=$((i + 1))\n"
+                "    [ $i -gt 3000 ] && exit 3\n"
+                "    sleep 0.01\n"
+                "  done\n"
+                "fi\n"
+                "if grep -q 'tag=progress-b;' \"$src\"; then\n"
+                "  touch '" + dir + "/b.started'\n"
+                "fi\n"
+                "exec cc \"$@\"\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC", (dir + "/gated-cc.sh").c_str());
+    auto func = core::compileSpmmCsrFunc(8, core::SpmmSchedule());
+
+    std::shared_ptr<const native::NativeKernel> a;
+    std::shared_ptr<const native::NativeKernel> b;
+    std::string a_error;
+    std::thread first([&] {
+        try {
+            a = native::compileNative(func, "progress-a");
+        } catch (const UserError &e) {
+            a_error = e.what();
+        }
+    });
+    ASSERT_TRUE(waitFor([&] { return fileExists(dir + "/a.started"); }));
+    std::thread second([&] { b = native::compileNative(func, "progress-b"); });
+    second.join();
+    first.join();
+    EXPECT_NE(a, nullptr) << a_error;
+    ASSERT_NE(b, nullptr);
+    EXPECT_FALSE(b->diskHit);
+    EXPECT_TRUE(noChildProcess());
 }
 
 // ---------------------------------------------------------------------
@@ -1425,6 +1583,10 @@ TEST(NativeEngine, SynchronousPromotionSwapsArtifactTransparently)
     EXPECT_EQ(stats.promotions, 1u);
     EXPECT_EQ(stats.compiles, 1u);
     EXPECT_EQ(stats.fallbacks, 0u);
+    // One promotion's wall time beside its one kernel's compile time.
+    observe::MetricsSnapshot snap = eng.metricsSnapshot();
+    EXPECT_EQ(snap.histograms["native.promote_ms"].count, 1u);
+    EXPECT_EQ(snap.histograms["native.compile_ms"].count, 1u);
 
     // Warm dispatch runs the swapped-in native kernel; still bitwise.
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
@@ -1557,9 +1719,11 @@ TEST(NativeEngine, DestructionJoinsInFlightPromotion)
         eng.spmmCsr(a, feat, &b, &c);  // crosses the threshold
         // Engine destructs here, racing the promotion task's cc run.
     }
-    // The destructor waited: the compile finished (and nothing it
-    // touched was freed — this test exists for the sanitizer jobs).
-    EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
+    // The destructor joined the task: the compile either finished or
+    // was killed, nothing it touched was freed (this test exists for
+    // the sanitizer jobs), and no compiler process is left behind.
+    EXPECT_LE(native::nativeCompileCount(), cc_before + 1);
+    EXPECT_TRUE(noChildProcess());
 }
 
 TEST(NativeEngine, HybBucketsPromoteEveryKernel)
@@ -1598,6 +1762,100 @@ TEST(NativeEngine, HybBucketsPromoteEveryKernel)
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
     eng.spmmHyb(a, feat, &b, &c_warm, config);
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
+}
+
+// The kernels of one hyb artifact compile concurrently: a wrapper
+// around cc logs when each run starts and ends, and two runs overlap.
+TEST(NativeEngine, HybKernelsCompileConcurrently)
+{
+    if (affinityCpus() < 2) {
+        GTEST_SKIP() << "one CPU: compiler runs cannot overlap";
+    }
+    CacheDirGuard cache;
+    const std::string log = cache.dir() + "/cc.log";
+    writeScript(cache.dir() + "/logging-cc.sh",
+                "echo \"$$ start $(date +%s%N)\" >> '" + log + "'\n"
+                "sleep 0.3\n"
+                "cc \"$@\"\n"
+                "rc=$?\n"
+                "echo \"$$ end $(date +%s%N)\" >> '" + log + "'\n"
+                "exit $rc\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC",
+                (cache.dir() + "/logging-cc.sh").c_str());
+    Csr a = graph::powerLawGraph(200, 2400, 1.9, 87);
+    int64_t feat = 8;
+    engine::HybConfig config;
+    config.partitions = 2;
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;
+    options.numThreads = 1;
+    engine::Engine eng(options);
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 88));
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    eng.spmmHyb(a, feat, &b, &c, config);
+    engine::NativeStats stats = eng.nativeStats();
+    ASSERT_GE(stats.compiles, 2u);
+    EXPECT_EQ(stats.fallbacks, 0u);
+
+    // Sweep the logged events in time order: a run starting while
+    // another is open is an overlap.
+    std::vector<std::pair<long long, int>> events;
+    std::ifstream in(log);
+    std::string pid;
+    std::string kind;
+    long long ns = 0;
+    while (in >> pid >> kind >> ns) {
+        events.emplace_back(ns, kind == "start" ? 1 : -1);
+    }
+    ASSERT_EQ(events.size(), 2 * stats.compiles);
+    std::sort(events.begin(), events.end());
+    int open = 0;
+    int most = 0;
+    for (const auto &event : events) {
+        open += event.second;
+        most = std::max(most, open);
+    }
+    EXPECT_GE(most, 2) << "no two compiler runs of the artifact overlapped";
+}
+
+// ~Engine kills the compilers of an in-flight promotion instead of
+// waiting on them: a compiler that never returns cannot hang it, and
+// no compiler process outlives the engine.
+TEST(NativeEngine, DestructionKillsHungCompiler)
+{
+    CacheDirGuard cache;
+    const std::string started = cache.dir() + "/started";
+    writeScript(cache.dir() + "/hung-cc.sh",
+                "touch '" + started + "'\n"
+                "sleep 1000\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC",
+                (cache.dir() + "/hung-cc.sh").c_str());
+    Csr a = graph::powerLawGraph(150, 1600, 1.8, 95);
+    int64_t feat = 8;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 96));
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    NDArray reference = engineSpmmReference(
+        a, feat, randomVector(a.cols * feat, 96));
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 1;  // background, second resolve
+    auto eng = std::make_unique<engine::Engine>(options);
+    eng->spmmCsr(a, feat, &b, &c);
+    eng->spmmCsr(a, feat, &b, &c);  // crosses the threshold
+    ASSERT_TRUE(waitFor([&] { return fileExists(started); }))
+        << "the promotion never started its compiler";
+    // Requests keep serving on bytecode while the compiler hangs.
+    eng->spmmCsr(a, feat, &b, &c);
+    EXPECT_TRUE(bitwiseEqual(reference, c));
+
+    auto start = std::chrono::steady_clock::now();
+    eng.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    EXPECT_TRUE(noChildProcess());
 }
 
 TEST(NativeEngine, BsrEmptyBlockRowsZeroedOnEveryTier)
@@ -1692,6 +1950,12 @@ TEST(NativeEngine, MissingCompilerDegradesToBytecode)
     EXPECT_EQ(stats.compiles, 0u);
     EXPECT_GE(stats.fallbacks, 1u);
     EXPECT_EQ(native::nativeCompileCount(), cc_before);
+    // Every fallback is counted under its reason: the shell could not
+    // run the compiler.
+    observe::MetricsSnapshot snap = eng.metricsSnapshot();
+    EXPECT_EQ(snap.counters["native.fallbacks.cc_failed"], stats.fallbacks);
+    EXPECT_EQ(snap.counters["native.fallbacks.timeout"], 0u);
+    EXPECT_EQ(snap.counters["native.fallbacks.unsupported"], 0u);
 
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
     eng.spmmCsr(a, feat, &b, &c_warm);
