@@ -342,8 +342,15 @@ struct OwnedBuild
     std::string meta;
     /** Temporaries: <stem>.c, <stem>.so, <stem>.err. */
     std::string stem;
+    /** The compiler's shell command, built at emit time so starting
+     *  it allocates nothing whenever a CPU frees up. */
+    std::string command;
     pid_t pid = -1;
     Clock::time_point started;
+    /** Set once the compiler was reaped; installed after the batch. */
+    bool exited = false;
+    int status = 0;
+    double ccMs = 0.0;
     bool released = false;
 
     OwnedBuild() = default;
@@ -411,6 +418,17 @@ class Batch
             if (running_ > 0) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
+            }
+        }
+        // Install in emit order, not in the order the compilers
+        // happened to finish, and allocate nothing while waiting on
+        // them (commands are built at emit time): the heap and the
+        // artifacts' mappings are laid out the same way on every run,
+        // so warm kernels see the same memory layout whatever the
+        // compilers' timing was.
+        for (std::unique_ptr<OwnedBuild> &build : owned_) {
+            if (build->exited && !build->released) {
+                install(build.get());
             }
         }
         owned_.clear();
@@ -482,6 +500,9 @@ class Batch
             out << emitted.source;
             USER_CHECK(out.good()) << "cannot write native kernel source '"
                                    << build->stem << ".c'";
+            build->command = compilerCommand() + kCcFlags + " -o '" +
+                             build->stem + ".so' '" + build->stem +
+                             ".c' 2>'" + build->stem + ".err'";
         } catch (const UserError &e) {
             resolve(build.get(), Fallback::kCcFailed, e.what());
             result.ms = msSince(start);
@@ -504,7 +525,9 @@ class Batch
             }
             int status = 0;
             if (reaped(build.pid, &status)) {
-                install(&build, status, endRun(&build));
+                build.status = status;
+                build.ccMs = endRun(&build);
+                build.exited = true;
             } else if (cancel || Clock::now() - build.started >= deadline_) {
                 killOverdue(&build, cancel);
             }
@@ -524,11 +547,8 @@ class Batch
                         "' was cancelled");
             return;
         }
-        std::string command = compilerCommand() + kCcFlags + " -o '" +
-                              build->stem + ".so' '" + build->stem +
-                              ".c' 2>'" + build->stem + ".err'";
         std::string error;
-        build->pid = spawnShell(command, &error);
+        build->pid = spawnShell(build->command, &error);
         if (build->pid < 0) {
             resolve(build, Fallback::kCcFailed,
                     "cannot start the native compiler: " + error);
@@ -573,11 +593,12 @@ class Batch
         return cc_ms;
     }
 
-    /** A compiler exited with `status` (-1: lost): install and load
-     *  its artifact if it succeeded. */
+    /** A reaped compiler (status -1: lost): install and load its
+     *  artifact if it succeeded. */
     void
-    install(OwnedBuild *build, int status, double cc_ms)
+    install(OwnedBuild *build)
     {
+        const int status = build->status;
         auto start = Clock::now();
         NativeKernel &kernel = *build->kernel;
         std::string cc_err = readFile(build->stem + ".err");
@@ -602,7 +623,7 @@ class Batch
         ICHECK(kernel.handle != nullptr)
             << "freshly built native artifact '" << kernel.soPath
             << "' failed to load";
-        results_[build->job].ms += cc_ms + msSince(start);
+        results_[build->job].ms += build->ccMs + msSince(start);
         resolve(build, Fallback::kNone, "");
     }
 

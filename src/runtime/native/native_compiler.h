@@ -11,8 +11,9 @@
  * runs as a child process (`/bin/sh -c`, in its own process group).
  * A batch runs at most as many children at once as the process has
  * CPUs, each until a fixed deadline, after which its process group is
- * killed and reaped. A finished artifact is installed atomically by
- * rename.
+ * killed and reaped. Once every child has exited, the built
+ * artifacts are installed atomically by rename and loaded in emit
+ * order, whatever order their compilers finished in.
  *
  * Locking is per `.so` path: an in-flight table holds the paths being
  * built in this process, taken only to claim or release a path, never
